@@ -6,8 +6,9 @@ Layers, from algebra to statistics:
   Q-tensors, and the degenerate-average guards.
 - sampling: the von Mises law on rotations (density, inverse-CDF angle
   tables, matrix and quaternion samplers) and its first-moment coefficient.
-- alignment: periodic cell-list neighbor search and the two neighborhood
-  target constructions (polar factor / leading Q-tensor eigenvector).
+- alignment: neighbor search on a periodic k-d tree, kernel-weighted sums
+  through one sparse weight matrix, and the two neighborhood target
+  constructions (polar factor / leading Q-tensor eigenvector).
 - micro: the gradual (diffusive) and jump (event-driven) particle models in
   both orientation representations, plus single-particle law harnesses.
 - gci: the invariant-profile ODE solve and the hydrodynamic constants

@@ -1,4 +1,4 @@
-"""Neighbor interaction: observation kernel, periodic cell grid, target orientations.
+"""Neighbor interaction: observation kernel, periodic neighbor tree, target orientations.
 
 A particle's target orientation is computed from the kernel-weighted average
 of its neighbors' orientations (itself included):
@@ -8,15 +8,18 @@ of its neighbors' orientations (itself included):
   target = leading unit eigenvector.
 
 Both routes agree through the double cover whenever neither is degenerate.
-The cell grid makes the neighbor query O(N) at fixed density; distances are
-always minimum-image in the periodic box.
+Neighbors come from a periodic ``scipy.spatial.cKDTree`` and the averages
+from one sparse weight matrix, so a step costs O(N log N) at fixed density;
+distances are always minimum-image in the periodic box.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.spatial import cKDTree
 
-from .errors import BoxTooSmall, DegenerateAverage
+from .errors import BoxTooSmall
 from .rotations import (
     DELTA_DET,
     DELTA_GAP,
@@ -48,10 +51,12 @@ class KernelConfig:
         if self.shape not in ("indicator", "smooth-bump"):
             raise ValueError(f"unknown kernel shape: {self.shape!r}")
         if self.shape == "smooth-bump":
-            # Normalize numerically: integral of the bump over the ball.
-            s = np.linspace(0.0, 1.0, 4097)[:-1]
-            prof = np.exp(-1.0 / (1.0 - s * s))
-            mass = 4.0 * np.pi * self.radius**3 * np.trapz(prof * s * s, s)
+            # Normalize numerically: trapezoid rule for the integral of the
+            # bump over the ball (the integrand vanishes at s = 1).
+            s, h = np.linspace(0.0, 1.0, 4097)[:-1], 1.0 / 4096
+            integrand = np.exp(-1.0 / (1.0 - s * s)) * s * s
+            integral = h * (integrand.sum() - 0.5 * integrand[0])
+            mass = 4.0 * np.pi * self.radius**3 * integral
             object.__setattr__(self, "_bump_norm", 1.0 / mass)
 
     def weight(self, r):
@@ -68,31 +73,30 @@ class KernelConfig:
 
 
 @dataclass(frozen=True)
-class CellGrid:
-    """Frozen cell-list decomposition of a periodic box.
+class NeighborTree:
+    """Periodic k-d tree over wrapped particle positions.
 
     Attributes:
         box: periodic box edge lengths, shape (3,).
-        ncells: cells per axis, shape (3,) (each cell at least R wide).
-        cell_of: flat cell id per particle, shape (N,).
-        order: particle indices sorted by cell id, shape (N,).
-        starts: CSR offsets into ``order`` per flat cell id, shape (prod+1,).
-        positions: wrapped particle positions the grid was built from.
+        positions: wrapped particle positions the tree was built from.
+        tree: ``cKDTree`` on ``positions`` with ``boxsize=box``.
     """
 
     box: np.ndarray
-    ncells: np.ndarray
-    cell_of: np.ndarray
-    order: np.ndarray
-    starts: np.ndarray
     positions: np.ndarray
+    tree: cKDTree
 
 
 def wrap_positions(x, box):
-    """Map positions into [0, box) per axis."""
+    """Map positions into [0, box) per axis, for every finite input.
+
+    ``np.mod`` rounds e.g. ``-1e-17 mod 10`` up to 10; the clip keeps the
+    result strictly below ``box``.
+    """
     x = np.asarray(x, dtype=np.float64)
     box = np.asarray(box, dtype=np.float64)
-    return np.mod(x, box)
+    w = x - box * np.floor(x / box)
+    return np.clip(w, 0.0, np.nextafter(box, 0.0))
 
 
 def minimum_image(d, box):
@@ -101,7 +105,7 @@ def minimum_image(d, box):
 
 
 def build_grid(positions, box, radius):
-    """Build the cell grid for neighbor queries of the given radius.
+    """Build the periodic neighbor tree for queries of the given radius.
 
     Args:
         positions: particle positions, shape (N, 3) (wrapped internally).
@@ -109,8 +113,8 @@ def build_grid(positions, box, radius):
         radius: interaction radius R.
 
     Raises:
-        BoxTooSmall: if any box edge is shorter than 2R (a 27-cell stencil
-            could then miss or double-count neighbors).
+        BoxTooSmall: if any box edge is shorter than 2R (a particle could
+            then see a neighbor through two periodic images).
     """
     box = np.broadcast_to(np.asarray(box, dtype=np.float64), (3,)).copy()
     if np.any(box < 2.0 * radius):
@@ -118,34 +122,7 @@ def build_grid(positions, box, radius):
             f"box {box.tolist()} has an edge below 2R = {2.0 * radius}"
         )
     x = wrap_positions(positions, box)
-    ncells = np.maximum(np.floor(box / radius).astype(np.int64), 1)
-    coords = np.minimum((x / (box / ncells)).astype(np.int64), ncells - 1)
-    flat = (coords[:, 0] * ncells[1] + coords[:, 1]) * ncells[2] + coords[:, 2]
-    order = np.argsort(flat, kind="stable")
-    counts = np.bincount(flat, minlength=int(np.prod(ncells)))
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    return CellGrid(
-        box=box,
-        ncells=ncells,
-        cell_of=flat,
-        order=order,
-        starts=starts,
-        positions=x,
-    )
-
-
-def _stencil_offsets(ncells):
-    """Unique neighbor-cell offsets, collapsing aliases on tiny grids.
-
-    For ncells >= 3 per axis this is the usual 27-cell stencil; with 1 or 2
-    cells on an axis the offsets -1 and +1 alias the same cell and must be
-    visited once only.
-    """
-    per_axis = []
-    for n in ncells:
-        per_axis.append(np.unique(np.array([-1, 0, 1]) % n))
-    grids = np.meshgrid(*per_axis, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return NeighborTree(box=box, positions=x, tree=cKDTree(x, boxsize=box))
 
 
 def neighbor_pairs(grid, radius):
@@ -153,58 +130,26 @@ def neighbor_pairs(grid, radius):
 
     Returns:
         (i, j, dist): index arrays and minimum-image distances, one entry
-        per ordered pair with dist <= radius. Every pair appears exactly
-        once regardless of grid size.
+        per ordered pair with dist <= radius.
     """
     x = grid.positions
-    n = x.shape[0]
-    ncells = grid.ncells
-    coords = np.stack(
-        [
-            grid.cell_of // (ncells[1] * ncells[2]),
-            (grid.cell_of // ncells[2]) % ncells[1],
-            grid.cell_of % ncells[2],
-        ],
-        axis=-1,
+    a, b = grid.tree.query_pairs(radius, output_type="ndarray").T
+    sep = minimum_image(x[a] - x[b], grid.box)
+    dist = np.sqrt(np.einsum("ij,ij->i", sep, sep))
+    diag = np.arange(x.shape[0])
+    return (
+        np.concatenate([a, b, diag]),
+        np.concatenate([b, a, diag]),
+        np.concatenate([dist, dist, np.zeros(diag.shape)]),
     )
-    counts_per_cell = np.diff(grid.starts)
-    # One vectorized pass over the whole (particle, stencil-offset) product:
-    # gather candidate js cell by cell through the CSR layout, then a single
-    # minimum-image distance filter.
-    offsets = _stencil_offsets(ncells)
-    ncoords = (coords[:, None, :] + offsets[None, :, :]) % ncells
-    nid = (ncoords[..., 0] * ncells[1] + ncoords[..., 1]) * ncells[2] + ncoords[..., 2]
-    nid = nid.ravel()
-    cnt = counts_per_cell[nid]
-    total = int(cnt.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0, dtype=np.float64)
-    cum = np.concatenate([[0], np.cumsum(cnt)])
-    within = np.arange(total) - np.repeat(cum[:-1], cnt)
-    j = grid.order[np.repeat(grid.starts[nid], cnt) + within]
-    i = np.repeat(np.repeat(np.arange(n), offsets.shape[0]), cnt)
-    sep = minimum_image(x[i] - x[j], grid.box)
-    sq = np.einsum("ij,ij->i", sep, sep)
-    keep = sq <= radius * radius
-    return i[keep], j[keep], np.sqrt(sq[keep])
 
 
 def _weighted_sums(grid, kernel, values):
-    """Kernel-weighted neighbor sums (1/N) sum_j K(d_ij) values[j] for all i.
-
-    Accumulation runs per tensor component through bincount, which is much
-    faster than scattered in-place adds for the pair counts seen here.
-    """
+    """Kernel-weighted neighbor sums (1/N) sum_j K(d_ij) values[j] for all i."""
     n = values.shape[0]
     i, j, dist = neighbor_pairs(grid, kernel.radius)
-    w = kernel.weight(dist) / n
-    flat = values.reshape(n, -1)
-    gathered = w[:, None] * flat[j]
-    out = np.empty((n, flat.shape[1]), dtype=np.float64)
-    for k in range(flat.shape[1]):
-        out[:, k] = np.bincount(i, weights=gathered[:, k], minlength=n)
-    return out.reshape(values.shape)
+    weights = csr_matrix((kernel.weight(dist) / n, (i, j)), shape=(n, n))
+    return (weights @ values.reshape(n, -1)).reshape(values.shape)
 
 
 def average_rotation_matrix(grid, kernel, rotations):
@@ -220,12 +165,12 @@ def average_qtensor(grid, kernel, quats):
 def target_rotation(n, positions, box, rotations, kernel, det_floor=DELTA_DET):
     """Target orientation of particle ``n`` via the polar-rotation route.
 
-    Direct O(N) evaluation against every particle — no cell grid involved —
+    Direct O(N) evaluation against every particle — no neighbor tree involved —
     so it doubles as the reference for the batched variant.
 
     Raises:
-        DegenerateAverage: when det(Jbar_n) <= det_floor; the caller decides
-            the fallback policy.
+        DegenerateAverage: when det(Jbar_n) <= det_floor * (|Jbar_n|_F^2 / 3)^(3/2);
+            the caller decides the fallback policy.
     """
     x = np.asarray(positions, dtype=np.float64)
     sep = minimum_image(x - x[n], box)

@@ -8,9 +8,10 @@ class SohbError(Exception):
 class DegenerateAverage(SohbError):
     """The averaged orientation is too degenerate to define a target.
 
-    Raised when a matrix average has det <= det_floor (no well-defined
-    polar rotation) or a Q-tensor average has an eigenvalue gap <= gap_floor
-    (no unique leading eigenvector).
+    Raised when a matrix average m has det(m) <= det_floor * (|m|_F^2 / 3)^(3/2)
+    (no well-defined polar rotation; the floor is relative, so it does not
+    depend on how the average is normalized) or a Q-tensor average has an
+    eigenvalue gap <= gap_floor (no unique leading eigenvector).
     """
 
 

@@ -38,7 +38,6 @@ from .rotations import (
     project_tangent,
     quat_e1,
     quat_normalize,
-    quat_to_rot,
     retract,
     rot_to_quat,
 )
@@ -182,24 +181,45 @@ def _targets(state, params):
     return tgt, int(np.sum(~ok))
 
 
+def _increment_matrix(a, target, d, dt, rng):
+    """One Euler-retract step of dA = P_T(target dt + 2 sqrt(D) dB) for a batch.
+
+    ``target`` is one rotation per entry of ``a`` or a single constant one;
+    dB is a matrix of N(0, dt) entries per entry of ``a``.
+    """
+    db = rng.standard_normal(a.shape) * np.sqrt(dt)
+    incr = target * dt + 2.0 * np.sqrt(d) * db
+    return retract(a + project_tangent(a, incr))
+
+
+def _increment_quat(q, target, d, dt, rng):
+    """One Euler-renormalize step of the quaternion flow for a batch.
+
+    The drift (qbar (x) qbar - I4/4) q equals (qbar . q) qbar - q/4; with
+    noise sqrt(D/2) dB the increment is projected onto the orthogonal
+    complement of q and the sum is renormalized.
+    """
+    dots = np.sum(target * q, axis=-1, keepdims=True)
+    drift = dots * target - 0.25 * q
+    db = rng.standard_normal(q.shape) * np.sqrt(dt)
+    incr = drift * dt + np.sqrt(0.5 * d) * db
+    incr -= np.sum(incr * q, axis=-1, keepdims=True) * q
+    return quat_normalize(q + incr)
+
+
 def step_gradual_matrix(state, params, rng):
     """One synchronous Euler-retract step of the matrix-valued flow.
 
     Order of operations: freeze the configuration and compute every target;
-    form the tangent increment P_T(Abar dt + 2 sqrt(D) dB) with dB a 3x3
-    matrix of N(0, dt) entries; retract to the polar factor; advance
-    positions along the new first axis.
+    apply :func:`_increment_matrix`; advance positions along the new first
+    axis.
     """
-    dt = params.dt
-    a = state.orient
     abar, fallbacks = _targets(state, params)
-    db = rng.standard_normal((state.n, 3, 3)) * np.sqrt(dt)
-    incr = abar * dt + 2.0 * np.sqrt(params.d) * db
-    a_new = retract(a + project_tangent(a, incr))
-    x_new = wrap_positions(state.x + dt * a_new[:, :, 0], params.box_array())
+    a_new = _increment_matrix(state.orient, abar, params.d, params.dt, rng)
+    x_new = wrap_positions(state.x + params.dt * a_new[:, :, 0], params.box_array())
     return replace(
         state,
-        t=state.t + dt,
+        t=state.t + params.dt,
         x=x_new,
         orient=a_new,
         degenerate_count=state.degenerate_count + fallbacks,
@@ -207,25 +227,13 @@ def step_gradual_matrix(state, params, rng):
 
 
 def step_gradual_quat(state, params, rng):
-    """One synchronous Euler-renormalize step of the quaternion-valued flow.
-
-    The drift (qbar (x) qbar - I4/4) q equals (qbar . q) qbar - q/4; the
-    increment is projected onto the orthogonal complement of q and the sum
-    is renormalized.
-    """
-    dt = params.dt
-    q = state.orient
+    """One synchronous Euler-renormalize step of the quaternion-valued flow."""
     qbar, fallbacks = _targets(state, params)
-    dots = np.sum(qbar * q, axis=-1, keepdims=True)
-    drift = dots * qbar - 0.25 * q
-    db = rng.standard_normal((state.n, 4)) * np.sqrt(dt)
-    incr = drift * dt + np.sqrt(0.5 * params.d) * db
-    incr -= np.sum(incr * q, axis=-1, keepdims=True) * q
-    q_new = quat_normalize(q + incr)
-    x_new = wrap_positions(state.x + dt * quat_e1(q_new), params.box_array())
+    q_new = _increment_quat(state.orient, qbar, params.d, params.dt, rng)
+    x_new = wrap_positions(state.x + params.dt * quat_e1(q_new), params.box_array())
     return replace(
         state,
-        t=state.t + dt,
+        t=state.t + params.dt,
         x=x_new,
         orient=q_new,
         degenerate_count=state.degenerate_count + fallbacks,
@@ -394,9 +402,7 @@ def run_single_in_field(
         else:
             a = np.broadcast_to(field, (r, 3, 3)).copy()
         for _ in range(nsteps):
-            db = rng.standard_normal((r, 3, 3)) * np.sqrt(dt)
-            incr = field * dt + 2.0 * np.sqrt(d) * db
-            a = retract(a + project_tangent(a, incr))
+            a = _increment_matrix(a, field, d, dt, rng)
         return a
     qf = rot_to_quat(field)
     if init == "stationary":
@@ -404,10 +410,5 @@ def run_single_in_field(
     else:
         q = np.broadcast_to(qf, (r, 4)).copy()
     for _ in range(nsteps):
-        dots = np.sum(qf * q, axis=-1, keepdims=True)
-        drift = dots * qf - 0.25 * q
-        db = rng.standard_normal((r, 4)) * np.sqrt(dt)
-        incr = drift * dt + np.sqrt(0.5 * d) * db
-        incr -= np.sum(incr * q, axis=-1, keepdims=True) * q
-        q = quat_normalize(q + incr)
+        q = _increment_quat(q, qf, d, dt, rng)
     return q

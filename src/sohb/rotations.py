@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import DegenerateAverage
 
-#: Determinant floor below which a matrix average has no usable polar rotation.
+#: Relative determinant floor below which a matrix average has no usable polar
+#: rotation: det(m) is compared with DELTA_DET * (|m|_F^2 / 3)^(3/2), so the
+#: test does not depend on how the average is normalized.
 DELTA_DET = 1e-9
 
 #: Eigenvalue-gap floor below which a Q-tensor has no unique leading eigenvector.
@@ -95,6 +97,11 @@ def _polar_svd(m):
     return u @ vt
 
 
+def _det_above_floor(m, det_floor):
+    """det(m) > det_floor * (|m|_F^2 / 3)^(3/2), a test that scaling m leaves alone."""
+    return np.linalg.det(m) > det_floor * (np.sum(m * m, axis=(-1, -2)) / 3.0) ** 1.5
+
+
 def polar_rotation(m, det_floor=DELTA_DET):
     """Rotation factor of the polar decomposition m = R S (S symmetric).
 
@@ -103,17 +110,16 @@ def polar_rotation(m, det_floor=DELTA_DET):
 
     Args:
         m: matrix or batch of matrices, shape (..., 3, 3).
-        det_floor: determinant threshold below which the average is
-            treated as degenerate.
+        det_floor: relative determinant threshold (see ``DELTA_DET``) below
+            which the average is treated as degenerate.
 
     Raises:
-        DegenerateAverage: if any det(m) <= det_floor.
+        DegenerateAverage: if any det(m) <= det_floor * (|m|_F^2 / 3)^(3/2).
     """
     m = np.asarray(m, dtype=np.float64)
-    det = np.linalg.det(m)
-    if np.any(det <= det_floor):
+    if not np.all(_det_above_floor(m, det_floor)):
         raise DegenerateAverage(
-            f"polar rotation undefined: det = {np.min(det):.3e} <= {det_floor:.1e}"
+            f"polar rotation undefined: det(m) <= {det_floor:.1e} * (|m|_F^2 / 3)^(3/2)"
         )
     return _polar_svd(m)
 
@@ -124,11 +130,10 @@ def polar_rotation_or_mask(m, det_floor=DELTA_DET):
     Returns:
         (rotations, ok): ``rotations`` has the closest rotation for every
         entry (meaningful only where ``ok``); ``ok`` is True where
-        det(m) > det_floor.
+        det(m) > det_floor * (|m|_F^2 / 3)^(3/2).
     """
     m = np.asarray(m, dtype=np.float64)
-    ok = np.linalg.det(m) > det_floor
-    return _polar_svd(m), ok
+    return _polar_svd(m), _det_above_floor(m, det_floor)
 
 
 def retract(m):

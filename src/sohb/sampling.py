@@ -94,13 +94,6 @@ class AngleTable:
         """CDF evaluated by interpolation (angles past theta_max saturate at 1)."""
         return np.interp(np.asarray(theta, dtype=np.float64), self.theta, self.cdf)
 
-    def mean_angle(self):
-        """Mean of the tabulated angle marginal (diagnostic)."""
-        dens = _angle_density_shifted(self.theta, self.d)
-        num = np.trapz(self.theta * dens, self.theta)
-        den = np.trapz(dens, self.theta)
-        return num / den
-
 
 _TABLE_CACHE = {}
 

@@ -1,9 +1,10 @@
-"""Neighbor search on the periodic cell grid and local orientation targets."""
+"""Neighbor search on the periodic k-d tree and local orientation targets."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from sohb.alignment import (
     KernelConfig,
@@ -55,7 +56,7 @@ def test_two_particles_just_outside():
 
 
 def test_grid_equals_brute_force():
-    """The O(N) grid query returns exactly the O(N^2) pair set."""
+    """The tree query returns exactly the O(N^2) pair set."""
     rng = make_rng(31, 0)
     for box in (np.array([5.0, 5.0, 5.0]), np.array([2.3, 4.1, 7.7])):
         x = rng.uniform(0.0, 1.0, (200, 3)) * box
@@ -80,11 +81,41 @@ def test_box_smaller_than_two_radii_rejected():
         build_grid(x, np.array([1.5, 5.0, 5.0]), R)
 
 
+def edge_coordinates(box):
+    """Raw coordinates at the edges of the wrap, one row per case."""
+    return np.stack(
+        [np.full(3, -1e-17), np.full(3, -1e-300), np.nextafter(box, 0.0), box, 3.0 * box]
+    )
+
+
 def test_wrap_positions_range():
     box = np.array([2.0, 3.0, 4.0])
     x = np.array([[-0.5, 3.5, 8.1], [2.0, -6.0, 3.9]])
+    x = np.concatenate([x, edge_coordinates(box)])
     w = wrap_positions(x, box)
     assert np.all(w >= 0.0) and np.all(w < box)
+    np.testing.assert_array_equal(w[-3], np.nextafter(box, 0.0))
+    np.testing.assert_array_equal(w[-2:], 0.0)
+
+
+def test_build_grid_accepts_edge_coordinates():
+    """Raw coordinates that round onto the box edge still build a valid tree."""
+    box = np.full(3, 10.0)
+    x = edge_coordinates(box)
+    grid = build_grid(x, box, R)
+    assert np.all(grid.positions >= 0.0) and np.all(grid.positions < box)
+    gi, gj, gd = sorted_pairs(*neighbor_pairs(grid, R))
+    bi, bj, bd = sorted_pairs(*brute_force_pairs(x, box, R))
+    assert np.array_equal(gi, bi) and np.array_equal(gj, bj)
+    np.testing.assert_allclose(gd, bd, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", ["indicator", "smooth-bump"])
+def test_kernel_unit_mass(shape):
+    """4 pi int_0^R r^2 K(r) dr = 1 for both kernel shapes."""
+    kernel = KernelConfig(radius=1.7, shape=shape)
+    mass, _ = quad(lambda r: 4.0 * np.pi * r * r * kernel.weight(r), 0.0, 1.7)
+    assert mass == pytest.approx(1.0, abs=1e-6)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -274,6 +274,17 @@ def test_cli_simulate_seed_changes_output(tmp_path, capsys):
         assert f1.read() != f2.read()
 
 
+@pytest.mark.parametrize("model", ["gradual", "jump"])
+def test_cli_simulate_smooth_bump_kernel(tmp_path, capsys, model):
+    cfg = write_config(tmp_path, kernel="smooth-bump", model=model)
+    out = str(tmp_path / "bump.ndjson")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+    assert read_metadata(out)["config"]["kernel"] == "smooth-bump"
+    frames = read_frames(out)
+    assert frames and np.all(np.isfinite(frames[-1][1]))
+
+
 def test_cli_simulate_replicas(tmp_path, capsys):
     cfg = write_config(tmp_path, replicas=2, model="jump", t_end=0.2)
     assert main(["simulate", "--config", cfg]) == 0

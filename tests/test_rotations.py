@@ -13,6 +13,7 @@ from sohb.rotations import (
     mat_dot,
     max_eigvec,
     polar_rotation,
+    polar_rotation_or_mask,
     project_tangent,
     qtensor,
     quat_e1,
@@ -132,6 +133,23 @@ def test_polar_scaling_invariance(rng):
 def test_polar_negative_determinant_raises():
     with pytest.raises(DegenerateAverage):
         polar_rotation(np.diag([1.0, 1.0, -1.0]))
+
+
+def test_polar_floor_is_scale_free(rng):
+    """A small healthy average is accepted; degenerate ones fail at any scale."""
+    from sohb.micro import sample_vonmises_rot
+
+    healthy = np.mean(sample_vonmises_rot(np.eye(3), 0.5, rng, size=20), axis=0)
+    rank_one = np.diag([2.0, 0.0, 0.0])
+    reflection = np.diag([1.0, 1.0, -1.0])
+    for c in (1.0, 1e-6):
+        np.testing.assert_allclose(polar_rotation(c * healthy), polar_rotation(healthy), atol=1e-12)
+        for bad in (rank_one, reflection):
+            with pytest.raises(DegenerateAverage):
+                polar_rotation(c * bad)
+        _, ok = polar_rotation_or_mask(c * np.stack([healthy, rank_one, reflection]))
+        assert ok.tolist() == [True, False, False]
+    assert not polar_rotation_or_mask(np.zeros((3, 3)))[1]
 
 
 def test_polar_maximizes_mat_dot(rng):
