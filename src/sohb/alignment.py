@@ -162,38 +162,41 @@ def average_qtensor(grid, kernel, quats):
     return _weighted_sums(grid, kernel, qtensor(np.asarray(quats, dtype=np.float64)))
 
 
-def target_rotation(n, positions, box, rotations, kernel, det_floor=DELTA_DET):
+def _kernel_average(n, positions, box, values, kernel, n_total):
+    """(1/n_total) sum_m K(|X_m - X_n|) values[m] over the given rows."""
+    x = np.asarray(positions, dtype=np.float64)
+    sep = minimum_image(x - x[n], box)
+    dist = np.linalg.norm(sep, axis=-1)
+    w = kernel.weight(dist) / (x.shape[0] if n_total is None else n_total)
+    return np.einsum("m,mab->ab", w, np.asarray(values, dtype=np.float64))
+
+
+def target_rotation(n, positions, box, rotations, kernel, det_floor=DELTA_DET, n_total=None):
     """Target orientation of particle ``n`` via the polar-rotation route.
 
-    Direct O(N) evaluation against every particle — no neighbor tree involved —
-    so it doubles as the reference for the batched variant.
+    Averages over the given rows, with no neighbor tree involved. Given every
+    particle, this is the direct O(N) reference for the batched variant.
+    ``run_jump`` gives it only candidate rows, a superset of row ``n``'s
+    neighbors (positions need not be wrapped), and the whole particle count
+    as ``n_total``, the N of the 1/N in Jbar.
 
     Raises:
         DegenerateAverage: when det(Jbar_n) <= det_floor * (|Jbar_n|_F^2 / 3)^(3/2);
             the caller decides the fallback policy.
     """
-    x = np.asarray(positions, dtype=np.float64)
-    sep = minimum_image(x - x[n], box)
-    dist = np.linalg.norm(sep, axis=-1)
-    w = kernel.weight(dist) / x.shape[0]
-    jbar = np.einsum("m,mab->ab", w, np.asarray(rotations, dtype=np.float64))
-    return polar_rotation(jbar, det_floor)
+    return polar_rotation(_kernel_average(n, positions, box, rotations, kernel, n_total), det_floor)
 
 
-def target_quaternion(n, positions, box, quats, kernel, gap_floor=DELTA_GAP):
+def target_quaternion(n, positions, box, quats, kernel, gap_floor=DELTA_GAP, n_total=None):
     """Target orientation of particle ``n`` via the leading-eigenvector route.
 
-    Direct O(N) evaluation; reference for the batched variant.
+    Same rows and ``n_total`` contract as :func:`target_rotation`.
 
     Raises:
         DegenerateAverage: when the top eigenvalue gap of Qbar_n is
             <= gap_floor.
     """
-    x = np.asarray(positions, dtype=np.float64)
-    sep = minimum_image(x - x[n], box)
-    dist = np.linalg.norm(sep, axis=-1)
-    w = kernel.weight(dist) / x.shape[0]
-    qbar = np.einsum("m,mab->ab", w, qtensor(np.asarray(quats, dtype=np.float64)))
+    qbar = _kernel_average(n, positions, box, qtensor(quats), kernel, n_total)
     return max_eigvec(qbar, gap_floor)
 
 

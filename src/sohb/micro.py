@@ -263,65 +263,88 @@ def run_gradual(state, params, rng, t_end, on_frame=None, save_every=1):
     return state
 
 
+#: The jump model rebuilds its candidate tree once it is this many radii old.
+_TREE_SKIN = 0.5
+
+
 def run_jump(state, params, rng, t_end, on_event=None):
     """Event-driven loop of the jump process until t_end.
 
     Maintains a binary min-heap of per-particle next-jump times (ties broken
-    by particle index). At each event every position is transported
-    ballistically to the event time, the jumping particle's target is
-    computed from the transported configuration, its orientation is redrawn
-    from the von Mises distribution centered at that target, and a fresh
-    exponential(1) clock is armed.
+    by particle index). Positions are lazy: particle i keeps an anchor
+    (x_i, t_i) and is at wrap(x_i + (t - t_i) e1_i) at time t, so an event
+    moves only the jumping particle's anchor, to its position at the event.
+    Its neighbors are looked up in a periodic tree built at time t_b: the
+    candidates within R + (t - t_b) of it hold every particle within R,
+    since none moves faster than unit speed. The tree is rebuilt at the first
+    event more than R/2 after t_b. The jumping particle's target is computed
+    from the candidates' positions, its orientation is redrawn from the von
+    Mises distribution centered at that target, and a fresh exponential(1)
+    clock is armed: the same draws, in the same order, as transporting every
+    particle to every event and averaging over all of them.
+
+    Raises:
+        BoxTooSmall: if a box edge is shorter than 2R, even when no event
+            fires before t_end.
 
     Returns:
         (state, events): final state at t_end and the full event log as a
         list of (time, particle_index) tuples.
     """
+    box = params.box_array()
+    radius = params.radius
+    grid = build_grid(state.x, box, radius)
     if state.next_jump is None:
         state = replace(state, next_jump=state.t + rng.exponential(1.0, size=state.n))
-    x = state.x.copy()
+    n_total = state.n
+    anchor_x = state.x.copy()  # moved in place; the tree holds its own wrapped copy
+    anchor_t = np.full(n_total, float(state.t))
+    t_b = state.t
     orient = state.orient.copy()
+    is_matrix = state.kind == MATRIX
+    head = orient[:, :, 0] if is_matrix else quat_e1(orient)  # a view for matrices
     next_jump = state.next_jump.copy()
-    t = state.t
     fallbacks = state.degenerate_count
-    box = params.box_array()
     kernel = params.kernel_config()
     table = get_angle_table(params.d)
-    heap = [(float(next_jump[i]), i) for i in range(state.n)]
+    heap = [(float(next_jump[i]), i) for i in range(n_total)]
     heapq.heapify(heap)
     events = []
-    is_matrix = state.kind == MATRIX
 
     while heap and heap[0][0] <= t_end:
-        t_ev, n = heapq.heappop(heap)
-        if t_ev != next_jump[n]:
+        t, n = heapq.heappop(heap)
+        if t != next_jump[n]:
             continue  # stale entry
-        # Ballistic transport of every particle to the event time.
-        head = orient[:, :, 0] if is_matrix else quat_e1(orient)
-        x = wrap_positions(x + (t_ev - t) * head, box)
-        t = t_ev
-        # Only the jumping particle needs a target: the direct O(N) route is
-        # cheaper per event than a cell-grid pass over all particles.
+        if t - t_b > _TREE_SKIN * radius:
+            grid = build_grid(anchor_x + (t - anchor_t)[:, None] * head, box, radius)
+            t_b = t
+        x_n = wrap_positions(anchor_x[n] + (t - anchor_t[n]) * head[n], box)
+        cand = np.array(grid.tree.query_ball_point(x_n, radius + (t - t_b), return_sorted=True))
+        # Unwrapped candidate positions: the target takes minimum images.
+        x_cand = anchor_x[cand] + (t - anchor_t[cand])[:, None] * head[cand]
+        k = int(np.searchsorted(cand, n))
         try:
             if is_matrix:
-                center = target_rotation(n, x, box, orient, kernel)
+                center = target_rotation(k, x_cand, box, orient[cand], kernel, n_total=n_total)
             else:
-                center = target_quaternion(n, x, box, orient, kernel)
+                center = target_quaternion(k, x_cand, box, orient[cand], kernel, n_total=n_total)
         except DegenerateAverage:
             center = orient[n]
             fallbacks += 1
+        anchor_x[n] = x_n
+        anchor_t[n] = t
         if is_matrix:
             orient[n] = sample_vonmises_rot(center, params.d, rng, table=table)
         else:
             orient[n] = sample_vonmises_quat(center, params.d, rng, table=table)
+            head[n] = quat_e1(orient[n])
         events.append((t, n))
         if on_event is not None:
             on_event(t, n, orient[n])
         next_jump[n] = t + rng.exponential(1.0)
         heapq.heappush(heap, (float(next_jump[n]), n))
 
-    head = orient[:, :, 0] if is_matrix else quat_e1(orient)
-    x = wrap_positions(x + (t_end - t) * head, box)
+    x = wrap_positions(anchor_x + (t_end - anchor_t)[:, None] * head, box)
     return (
         replace(
             state,

@@ -34,6 +34,13 @@ def test_macro_block_defaults_merge():
     assert cfg["macro"]["viscosity"] == 0.5  # untouched default
 
 
+def test_macro_grid_must_be_one_dimensional():
+    """The macro run varies along x only, so a 3D grid is refused, not echoed."""
+    with pytest.raises(SchemaError) as exc:
+        load_config({"macro": {"grid": [16, 16, 16]}})
+    assert exc.value.path.startswith("macro.grid")
+
+
 def test_negative_d_names_the_field():
     with pytest.raises(SchemaError) as exc:
         load_config({"d": -1.0})
@@ -283,6 +290,13 @@ def test_cli_simulate_smooth_bump_kernel(tmp_path, capsys, model):
     assert read_metadata(out)["config"]["kernel"] == "smooth-bump"
     frames = read_frames(out)
     assert frames and np.all(np.isfinite(frames[-1][1]))
+
+
+def test_cli_simulate_jump_rejects_small_box(tmp_path, capsys):
+    cfg = write_config(tmp_path, model="jump", box=1.5, radius=1.0)
+    assert main(["simulate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "box [1.5, 1.5, 1.5]" in err
 
 
 def test_cli_simulate_replicas(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Particle-level dynamics: gradual diffusion steps and the jump process."""
 
 import numpy as np
+import pytest
 
 from sohb.alignment import wrap_positions
 from sohb.estimators import ks_one_sample, ks_two_sample, order_parameter
@@ -316,3 +317,95 @@ def test_degenerate_fallback_counted():
     state = ParticleState(t=0.0, x=x, orient=orient, kind=MATRIX)
     state = step_gradual(state, p, make_rng(45, 0))
     assert state.degenerate_count == 2
+
+
+def test_jump_rejects_box_below_two_radii():
+    """Jump runs share the gradual model's box contract, even with no event."""
+    from sohb.errors import BoxTooSmall
+
+    p = params(model=JUMP, n_particles=8, box=1.5, radius=1.0)
+    state = initial_state(p, make_rng(47, 0))
+    with pytest.raises(BoxTooSmall):
+        run_jump(state, p, make_rng(47, 1), t_end=0.5)
+    with pytest.raises(BoxTooSmall):
+        run_jump(state, p, make_rng(47, 1), t_end=0.0)
+
+
+def _direct_jump(state, p, rng, t_end):
+    """Reference jump loop: every event moves every particle and averages
+    over all of them, with the heap and the draws of ``run_jump``."""
+    import heapq
+
+    from sohb.alignment import target_quaternion, target_rotation
+    from sohb.errors import DegenerateAverage
+    from sohb.sampling import get_angle_table, sample_vonmises_quat, sample_vonmises_rot
+
+    is_matrix = state.kind == MATRIX
+    box, kernel, table = p.box_array(), p.kernel_config(), get_angle_table(p.d)
+    x, orient, next_jump = state.x.copy(), state.orient.copy(), state.next_jump.copy()
+    t, fallbacks, events = state.t, 0, []
+    heap = [(float(next_jump[i]), i) for i in range(state.n)]
+    heapq.heapify(heap)
+
+    def heads():
+        return orient[:, :, 0] if is_matrix else quat_e1(orient)
+
+    while heap and heap[0][0] <= t_end:
+        t_ev, n = heapq.heappop(heap)
+        if t_ev != next_jump[n]:
+            continue
+        x = wrap_positions(x + (t_ev - t) * heads(), box)
+        t = t_ev
+        try:
+            if is_matrix:
+                center = target_rotation(n, x, box, orient, kernel)
+            else:
+                center = target_quaternion(n, x, box, orient, kernel)
+        except DegenerateAverage:
+            center = orient[n]
+            fallbacks += 1
+        if is_matrix:
+            orient[n] = sample_vonmises_rot(center, p.d, rng, table=table)
+        else:
+            orient[n] = sample_vonmises_quat(center, p.d, rng, table=table)
+        events.append((t, n))
+        next_jump[n] = t + rng.exponential(1.0)
+        heapq.heappush(heap, (float(next_jump[n]), n))
+    x = wrap_positions(x + (t_end - t) * heads(), box)
+    return x, orient, events, fallbacks
+
+
+@pytest.mark.parametrize("rep", [MATRIX, QUATERNION])
+@pytest.mark.parametrize("n, box, t_end", [
+    pytest.param(200, 80.0 ** (1.0 / 3.0), 2.6, id="density-2.5"),
+    pytest.param(8, 2.0, 3.0, id="box-2R"),
+])
+def test_jump_matches_direct_route(monkeypatch, rep, n, box, t_end):
+    """The candidate-tree run replays the direct O(N) route event for event.
+
+    At density 2.5 the run lasts long enough for at least four tree
+    rebuilds; at box = 2R the query ball reaches half the box edge and more.
+    """
+    import sohb.micro
+
+    builds = []
+    build_grid = sohb.micro.build_grid
+    monkeypatch.setattr(sohb.micro, "build_grid",
+                        lambda *a: builds.append(a[0]) or build_grid(*a))
+    p = params(model=JUMP, n_particles=n, box=box, d=0.3, representation=rep)
+    rng = make_rng(48, n)
+    state = initial_state(p, rng, align_center=sample_uniform_rot(rng), align_d=0.5)
+    seed_state = rng.bit_generator.state
+    out, events = run_jump(state, p, rng, t_end)
+    rng.bit_generator.state = seed_state
+    x, orient, ref_events, fallbacks = _direct_jump(state, p, rng, t_end)
+
+    assert events == ref_events
+    assert len(events) > n * t_end / 2
+    assert out.degenerate_count == fallbacks
+    np.testing.assert_allclose(out.orient, orient, rtol=0.0, atol=1e-12)
+    gap = out.x - x
+    gap -= box * np.rint(gap / box)
+    np.testing.assert_allclose(gap, 0.0, atol=1e-12)
+    if n == 200:
+        assert len(builds) >= 5
