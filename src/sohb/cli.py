@@ -8,13 +8,10 @@ Subcommands:
     macro       co-evolve the two macroscopic forms; consistency summary
     validate    check a config file against the schema (exit 0/1)
     acceptance  run the acceptance criteria and print one line per item
-
-Set SOHB_THREADS to cap BLAS/OpenMP threads (exported to worker processes).
 """
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -32,13 +29,6 @@ from .micro import GRADUAL, initial_state, run_gradual, run_jump, run_single_in_
 from .rng import STREAM_DYNAMICS, STREAM_INIT, make_rng, replica_rng
 from .rotations import quat_to_rot, rot_to_quat
 from .sampling import sample_uniform_rot
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("SOHB_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = cap
 
 
 def _print_json(obj):
@@ -327,7 +317,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -18,18 +18,6 @@ ORIENT_KINDS = {"matrix": "mat", "quaternion": "quat"}
 KIND_NAMES = {v: k for k, v in ORIENT_KINDS.items()}
 
 
-def _record(t, pid, x, orient, kind):
-    return json.dumps(
-        {
-            "t": t,
-            "id": pid,
-            "x": list(x),
-            "orient": {"kind": kind, "v": list(orient)},
-        },
-        separators=(",", ":"),
-    )
-
-
 @dataclass
 class FrameWriter:
     """Appends particle states to an NDJSON log, flushing per frame."""
@@ -45,13 +33,23 @@ class FrameWriter:
                 mh.write("\n")
 
     def write_state(self, state):
-        """Write one frame from a micro ParticleState."""
+        """Write one frame from a micro ParticleState.
+
+        One %-template formats every record: ``%r`` of a float is the
+        shortest round-trip repr that ``json.dumps`` writes, and the
+        non-finite spellings are then rewritten to json's (NaN, Infinity).
+        """
         kind = ORIENT_KINDS[state.kind]
-        flat = state.orient.reshape(state.n, -1)
-        lines = [
-            _record(state.t, i, state.x[i], flat[i], kind) for i in range(state.n)
-        ]
-        self._fh.write("\n".join(lines) + "\n")
+        values = np.concatenate([state.x, state.orient.reshape(state.n, -1)], axis=1)
+        template = (
+            '{"t":' + json.dumps(state.t) + ',"id":%d,"x":[%r,%r,%r],'
+            '"orient":{"kind":"' + kind + '","v":['
+            + ",".join(["%r"] * (values.shape[1] - 3)) + "]}}\n"
+        )
+        text = "".join([template % (i, *row) for i, row in enumerate(values.tolist())])
+        if not np.all(np.isfinite(values)):
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        self._fh.write(text)
         self._fh.flush()
 
     def close(self):

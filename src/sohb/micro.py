@@ -4,11 +4,12 @@ Two mechanisms drive alignment toward the neighborhood target orientation:
 
 * gradual: a stochastic flow integrated with synchronous Euler tangent steps
   — the increment is projected onto the tangent space at the current
-  orientation and the result is retracted back onto the manifold (polar
-  factor for matrices, normalization for quaternions). Matrix noise enters
-  as 2 sqrt(D) dB per entry and quaternion noise as sqrt(D/2) dB; the factor
-  asymmetry is intrinsic to the two representations (the double cover halves
-  angular increments) and must not be altered.
+  orientation and the result is mapped back onto the manifold (normalization
+  for quaternions; for matrices the polar factor, in closed form: the step
+  A (I + hat(w)) lands on A times the rotation about w by arctan|w|). Matrix
+  noise enters as 2 sqrt(D) dB per entry and quaternion noise as
+  sqrt(D/2) dB; the factor asymmetry is intrinsic to the two representations
+  (the double cover halves angular increments) and must not be altered.
 * jump: a piecewise deterministic process — each particle carries an
   exponential(1) clock; between events all positions move ballistically at
   unit speed along the body's first axis while orientations stay frozen; at
@@ -35,11 +36,10 @@ from .alignment import (
 )
 from .errors import DegenerateAverage
 from .rotations import (
-    project_tangent,
     quat_e1,
     quat_normalize,
-    retract,
     rot_to_quat,
+    tangent_step,
 )
 from .sampling import (
     get_angle_table,
@@ -182,14 +182,16 @@ def _targets(state, params):
 
 
 def _increment_matrix(a, target, d, dt, rng):
-    """One Euler-retract step of dA = P_T(target dt + 2 sqrt(D) dB) for a batch.
+    """One Euler-polar step of dA = P_T(target dt + 2 sqrt(D) dB) for a batch.
 
+    ``a`` must hold rotations: the polar factor of the step comes from the
+    closed form :func:`~sohb.rotations.tangent_step`, which assumes it.
     ``target`` is one rotation per entry of ``a`` or a single constant one;
     dB is a matrix of N(0, dt) entries per entry of ``a``.
     """
     db = rng.standard_normal(a.shape) * np.sqrt(dt)
     incr = target * dt + 2.0 * np.sqrt(d) * db
-    return retract(a + project_tangent(a, incr))
+    return tangent_step(a, incr)
 
 
 def _increment_quat(q, target, d, dt, rng):
@@ -208,7 +210,7 @@ def _increment_quat(q, target, d, dt, rng):
 
 
 def step_gradual_matrix(state, params, rng):
-    """One synchronous Euler-retract step of the matrix-valued flow.
+    """One synchronous Euler-polar step of the matrix-valued flow.
 
     Order of operations: freeze the configuration and compute every target;
     apply :func:`_increment_matrix`; advance positions along the new first

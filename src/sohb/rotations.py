@@ -87,6 +87,27 @@ def project_tangent(a, m):
     return 0.5 * (m - a @ mt @ a)
 
 
+def tangent_step(a, m):
+    """Polar factor of the projected Euler step, polar(a + project_tangent(a, m)).
+
+    For a rotation ``a`` the step is a (I + hat(w)) with w = axial(a^T m),
+    and the polar factor of I + hat(w) is the rotation about w by
+    arctan|w|. With c = cos(arctan|w|) = 1/sqrt(1 + |w|^2) its Rodrigues
+    form is c I + c hat(w) + c^2/(1 + c) w w^T, exact for every w and free
+    of cancellation as |w| -> 0.
+
+    Args:
+        a: rotation(s), shape (..., 3, 3); the closed form needs a^T a = I.
+        m: arbitrary matrix/matrices, shape broadcastable with ``a``.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    w = axial(np.swapaxes(a, -1, -2) @ np.asarray(m, dtype=np.float64))
+    c = 1.0 / np.sqrt(1.0 + np.sum(w * w, axis=-1))
+    r = (c[..., None, None] * (np.eye(3) + hat(w))
+         + (c * c / (1.0 + c))[..., None, None] * (w[..., :, None] * w[..., None, :]))
+    return a @ r
+
+
 def _polar_svd(m):
     """Closest special-orthogonal factor of ``m`` via SVD with sign fix."""
     u, _, vt = np.linalg.svd(m)
@@ -139,23 +160,29 @@ def polar_rotation_or_mask(m, det_floor=DELTA_DET):
 def retract(m):
     """Project a near-rotation matrix back onto SO(3).
 
-    This is the polar-factor retraction used after an Euler tangent step:
-    a Newton-Schulz iteration (quadratically convergent for matrices with
-    singular values near 1) with an SVD fallback for entries that are too
-    far from orthogonal for the iteration to be contractive.
+    This is the polar-factor retraction used after an explicit step: a
+    Newton-Schulz iteration (quadratically convergent for matrices with
+    singular values near 1) that stops once every entry has
+    |X^T X - I| <= 1e-12, with an SVD fallback for entries that miss that
+    after six iterations or are too far from orthogonal for the iteration
+    to reach their polar factor.
     """
     m = np.asarray(m, dtype=np.float64)
     shape = m.shape
-    x = m.reshape((-1, 3, 3))
+    x = m.reshape((-1, 3, 3)).copy()
     eye = np.eye(3)
     with np.errstate(over="ignore", invalid="ignore"):
+        e = np.swapaxes(x, -1, -2) @ x - eye
+        # The iteration keeps the sign of a singular value only below sqrt(3);
+        # |m^T m - I|_F < 2 keeps every one of them there.
+        far = ~(np.sum(e * e, axis=(-1, -2)) < 4.0)
         for _ in range(6):
-            xtx = np.swapaxes(x, -1, -2) @ x
-            x = 0.5 * x @ (3.0 * eye - xtx)
-        err = np.abs(np.swapaxes(x, -1, -2) @ x - eye).max(axis=(-1, -2))
-    bad = ~(err <= 1e-12)  # also catches NaN from a diverged iteration
+            if np.all(np.abs(e) <= 1e-12):  # False while any entry is NaN
+                break
+            x = x - 0.5 * (x @ e)
+            e = np.swapaxes(x, -1, -2) @ x - eye
+        bad = far | ~(np.abs(e).max(axis=(-1, -2)) <= 1e-12)  # also catches NaN
     if np.any(bad):
-        x = x.copy()
         x[bad] = _polar_svd(m.reshape((-1, 3, 3))[bad])
     return x.reshape(shape)
 

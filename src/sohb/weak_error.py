@@ -3,8 +3,8 @@
 For one matrix-valued orientation relaxing toward a constant field L, the
 relative rotation E = L^T A is an autonomous Markov chain whose driving
 noise stays isotropic, so the rotation angle theta = angle(E) is itself a
-1D Markov chain.  A single projected-Euler step with polar retraction has a
-closed form.  Writing the projected increment as hat(w) E with
+1D Markov chain.  A single projected-Euler step followed by its polar factor
+has a closed form.  Writing the projected increment as hat(w) E with
 
     w = -dt sin(theta) n + sqrt(2 D dt) g,      g ~ N(0, I_3),
 
@@ -25,18 +25,20 @@ stationary law is the scheme's weak error at stationarity, free of Monte
 Carlo noise.  That is what makes first-order error visible at step sizes
 where sampling-based estimates drown in the empirical-process floor.
 
-The reduction relies on three exact invariances of the integrator: tangent
-projection and the Newton-Schulz/SVD retraction commute with left
-multiplication by a fixed rotation, the projected Gaussian increment has
-i.i.d. standard coefficients in the orthonormal tangent basis
-hat(e_i) E / sqrt(2), and polar(I + hat(w)) rotates about w by arctan|w|.
+This step is the code's own step, not a model of it: ``micro`` moves A to
+polar(A + P_T(A) m) through ``rotations.tangent_step``, which computes it
+in closed form as A R(v), with v = axial(A^T m) and R(v) the rotation about
+v by arctan|v|. Then E' = E R(v) = R(E v) E, and w = E v has the law above
+because A^T dB has i.i.d. N(0, dt) entries for every rotation A. The
+reduction uses nothing but that isotropy of the Gaussian increment.
 """
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
+from scipy.linalg import solve
 
-from .errors import DomainError, NoConvergence
+from .errors import DomainError
 from .sampling import _angle_density_shifted
 
 #: Default angle-grid resolution; kernel error from linear binning scales
@@ -44,7 +46,7 @@ from .sampling import _angle_density_shifted
 #: default keeps it well below the weak-error signal for dt >= 1e-4.
 N_GRID = 2001
 
-_CHUNK = 256
+_CHUNK = 64
 
 
 def reference_angle_cdf(theta, d):
@@ -125,35 +127,21 @@ def angle_transition_matrix(d, dt, n_grid=N_GRID, n_herm=48, n_lag=48):
     return grid, kernel
 
 
-def stationary_angle_law(
-    d, dt, n_grid=N_GRID, n_herm=48, n_lag=48, block=200, tol=1e-6, max_blocks=400
-):
+def stationary_angle_law(d, dt, n_grid=N_GRID, n_herm=48, n_lag=48):
     """Stationary angle law of the discrete chain (grid, masses, CDF).
 
-    Power iteration on the angle kernel, started from the continuous-time
-    law (already within O(dt) of the fixed point), in blocks whose
-    between-block sup-CDF change certifies convergence.
-
-    Raises:
-        NoConvergence: if the between-block change has not fallen below
-            ``tol`` after ``max_blocks`` blocks.
+    The masses p solve p K = p with sum(p) = 1: the system (K - I)^T p = 0
+    with its last equation, which the others imply because K is
+    row-stochastic, replaced by the normalization. It is solved in place on
+    the kernel, whose transpose is Fortran-ordered as LAPACK wants it.
     """
     grid, kernel = angle_transition_matrix(d, dt, n_grid, n_herm, n_lag)
-    pdf = _angle_density_shifted(grid, d)
-    p = pdf / pdf.sum()
-    cdf = np.cumsum(p)
-    for _ in range(max_blocks):
-        for _ in range(block):
-            p = p @ kernel
-        new_cdf = np.cumsum(p)
-        delta = float(np.max(np.abs(new_cdf - cdf)))
-        cdf = new_cdf
-        if delta <= tol:
-            return grid, p, cdf
-    raise NoConvergence(
-        f"angle-law power iteration stalled at block change {delta:.3e} "
-        f"(tol {tol:.1e}) for d={d}, dt={dt}"
-    )
+    kernel[np.diag_indices(n_grid)] -= 1.0
+    kernel[:, -1] = 1.0
+    rhs = np.zeros(n_grid)
+    rhs[-1] = 1.0
+    p = solve(kernel.T, rhs, overwrite_a=True)
+    return grid, p, np.cumsum(p)
 
 
 def scheme_angle_ks(d, dt, n_grid=N_GRID, n_herm=48, n_lag=48):

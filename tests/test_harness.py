@@ -171,6 +171,30 @@ def test_frame_round_trip_exact(tmp_path):
     assert read_metadata(path) == {"note": "round-trip"}
 
 
+@pytest.mark.parametrize("rep", [MATRIX, QUATERNION])
+@pytest.mark.parametrize("finite", [True, False])
+def test_frame_bytes_match_json_dumps(tmp_path, rep, finite):
+    """Each record is the bytes json.dumps writes, NaN and infinities included."""
+    params = SimParams(n_particles=6, d=1.0, box=5.0, representation=rep)
+    state = initial_state(params, make_rng(72, 2))
+    state.t = np.float64(0.1) + 0.2
+    if not finite:
+        flat = state.orient.reshape(state.n, -1)
+        flat[1, 0], flat[2, 1], flat[3, 2] = np.nan, np.inf, -np.inf
+        state.x[4, 0], state.x[5, 1] = 1e-300, 1e22
+    path = tmp_path / "frame.ndjson"
+    with FrameWriter(str(path)) as writer:
+        writer.write_state(state)
+    kind = {MATRIX: "mat", QUATERNION: "quat"}[rep]
+    want = "".join(
+        json.dumps({"t": state.t, "id": i, "x": list(state.x[i]),
+                    "orient": {"kind": kind, "v": list(state.orient[i].ravel())}},
+                   separators=(",", ":")) + "\n"
+        for i in range(state.n)
+    )
+    assert path.read_text() == want
+
+
 def test_empty_run_writes_sidecar_only(tmp_path):
     path = str(tmp_path / "empty.ndjson")
     with FrameWriter(path, metadata={"empty": True}):
@@ -358,13 +382,3 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"macro": {"dt": 5.0}, "model": "jump"}))
     assert main(["macro", "--config", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
-
-
-def test_thread_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("SOHB_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    assert main(["constants", "--d", "0.7", "--model", "jump"]) == 0
-    capsys.readouterr()
-    import os
-
-    assert os.environ["OMP_NUM_THREADS"] == "2"

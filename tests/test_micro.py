@@ -120,6 +120,30 @@ def test_representation_equivalence_zero_noise():
     assert 2 * np.dot(qf, q) ** 2 - 0.5 > 1.499  # same functional, lifted
 
 
+def test_matrix_increment_is_polar_of_projected_step():
+    """The increment draws dB as before and returns polar(A + P_T(A) incr)."""
+    from sohb.micro import _increment_matrix
+    from sohb.rotations import polar_rotation, project_tangent
+
+    a = sample_uniform_rot(make_rng(40, 5), size=64)
+    field = sample_uniform_rot(make_rng(40, 6))
+    d, dt = 1.0, 1.6e-2
+    got = _increment_matrix(a, field, d, dt, make_rng(40, 7))
+    db = make_rng(40, 7).standard_normal(a.shape) * np.sqrt(dt)
+    want = polar_rotation(a + project_tangent(a, field * dt + 2.0 * np.sqrt(d) * db))
+    np.testing.assert_allclose(got, want, atol=1e-14)
+
+
+def test_long_single_field_run_stays_orthogonal():
+    """The closed-form step never re-projects, so 2e4 steps at dt = 1.6e-2
+    must keep A^T A within 1e-12 of I by themselves."""
+    rng = make_rng(40, 8)
+    field = sample_uniform_rot(rng)
+    a = run_single_in_field(GRADUAL, MATRIX, field, 1.0, rng, t_end=2e4 * 1.6e-2,
+                            dt=1.6e-2, replicas=32, init="stationary")
+    assert np.abs(np.swapaxes(a, -1, -2) @ a - np.eye(3)).max() <= 1e-12
+
+
 # --- gradual, interacting ----------------------------------------------------
 
 

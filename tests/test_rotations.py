@@ -24,6 +24,7 @@ from sohb.rotations import (
     rot_to_quat,
     rotation_angle,
     rotation_from_axis_angle,
+    tangent_step,
 )
 
 from conftest import assert_rotation
@@ -171,6 +172,78 @@ def test_retract_matches_polar(rng):
     near = a + project_tangent(a, step)
     np.testing.assert_allclose(retract(near), polar_rotation(near), atol=1e-12)
     assert_rotation(retract(near))
+
+
+def test_retract_far_input_falls_back_to_polar(rng):
+    """Inputs off orthogonal by more than the iteration can repair still get
+    their polar factor: 2R would converge to the reflection -R, and
+    R diag(2, 2, 1) to a rotation that is not R."""
+    from sohb.micro import sample_uniform_rot
+
+    r = sample_uniform_rot(rng, size=4)
+    b = rng.standard_normal((3, 3))
+    far = np.stack([2.0 * r[0], r[1] @ np.diag([2.0, 2.0, 1.0]), 3.0 * r[2],
+                    r[3] @ (b @ b.T + 0.1 * np.eye(3))])
+    near = r + project_tangent(r, 0.05 * rng.standard_normal((4, 3, 3)))
+    mixed = np.concatenate([far, near])
+    got = retract(mixed)
+    np.testing.assert_allclose(got, polar_rotation(mixed), atol=1e-12)
+    np.testing.assert_allclose(got[:4], r, atol=1e-12)
+    assert_rotation(got)
+
+
+def test_retract_stops_on_orthogonal_input(rng):
+    """Rotations already within 1e-12 of orthogonal come back unchanged."""
+    from sohb.micro import sample_uniform_rot
+
+    r = sample_uniform_rot(rng, size=16)
+    got = retract(r)
+    np.testing.assert_array_equal(got, r)
+    assert not np.shares_memory(got, r)
+    assert retract(np.empty((0, 3, 3))).shape == (0, 3, 3)
+
+
+# --- tangent_step -----------------------------------------------------------------
+
+
+def _polar_of_projected_step(a, m):
+    return polar_rotation(a + project_tangent(a, m))
+
+
+def test_tangent_step_random_batches(rng):
+    from sohb.micro import sample_uniform_rot
+
+    a = sample_uniform_rot(rng, size=200)
+    for scale in (1e-8, 1e-3, 0.1, 1.0, 5.0):
+        m = scale * rng.standard_normal((200, 3, 3))
+        got = tangent_step(a, m)
+        np.testing.assert_allclose(got, _polar_of_projected_step(a, m), atol=1e-13)
+        assert_rotation(got, tol=1e-13)
+
+
+def test_tangent_step_constant_matrix_broadcast(rng):
+    from sohb.micro import sample_uniform_rot
+
+    a = sample_uniform_rot(rng, size=50)
+    m = sample_uniform_rot(rng) * 0.3 + 0.1 * rng.standard_normal((3, 3))
+    got = tangent_step(a, m)
+    assert got.shape == (50, 3, 3)
+    np.testing.assert_allclose(got, _polar_of_projected_step(a, m), atol=1e-13)
+
+
+def test_tangent_step_large_tangent_part(rng):
+    """Exact for |w| up to 10, with any symmetric part of a^T m ignored."""
+    from sohb.micro import sample_uniform_rot
+
+    n = 100
+    a = sample_uniform_rot(rng, size=n)
+    w = unit_vectors(rng, n) * np.linspace(0.0, 10.0, n)[:, None]
+    sym = rng.standard_normal((n, 3, 3))
+    m = a @ (hat(w) + sym + np.swapaxes(sym, -1, -2))
+    got = tangent_step(a, m)
+    np.testing.assert_allclose(got, _polar_of_projected_step(a, m), atol=1e-13)
+    np.testing.assert_allclose(rotation_angle(np.swapaxes(a, -1, -2) @ got),
+                               np.arctan(np.linalg.norm(w, axis=-1)), atol=1e-12)
 
 
 # --- quaternion lift --------------------------------------------------------
