@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
-from .errors import BoxTooSmall
+from .errors import BoxTooSmall, DomainError
 from .rotations import (
     DELTA_DET,
     DELTA_GAP,
@@ -39,37 +39,48 @@ class KernelConfig:
         radius: interaction radius R > 0; influence is exactly zero beyond it.
         shape: "indicator" (constant inside the ball) or "smooth-bump"
             (C-infinity bump exp(-1 / (1 - (r/R)^2)) inside the ball).
+
+    Raises:
+        DomainError: if the normalisation 1 / (kernel mass) is not a
+            positive float, for a radius near the ends of the float range.
     """
 
     radius: float
     shape: str = "indicator"
-    _bump_norm: float = field(init=False, repr=False, default=0.0)
+    _norm: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self):
         if self.radius <= 0.0:
             raise ValueError(f"kernel radius must be positive, got {self.radius}")
         if self.shape not in ("indicator", "smooth-bump"):
             raise ValueError(f"unknown kernel shape: {self.shape!r}")
-        if self.shape == "smooth-bump":
-            # Normalize numerically: trapezoid rule for the integral of the
-            # bump over the ball (the integrand vanishes at s = 1).
-            s, h = np.linspace(0.0, 1.0, 4097)[:-1], 1.0 / 4096
-            integrand = np.exp(-1.0 / (1.0 - s * s)) * s * s
-            integral = h * (integrand.sum() - 0.5 * integrand[0])
-            mass = 4.0 * np.pi * self.radius**3 * integral
-            object.__setattr__(self, "_bump_norm", 1.0 / mass)
+        with np.errstate(over="ignore", divide="ignore"):
+            r3 = np.float64(self.radius) ** 3
+            if self.shape == "indicator":
+                norm = 3.0 / (4.0 * np.pi * r3)
+            else:
+                # Normalize numerically: trapezoid rule for the integral of
+                # the bump over the ball (the integrand vanishes at s = 1).
+                s, h = np.linspace(0.0, 1.0, 4097)[:-1], 1.0 / 4096
+                integrand = np.exp(-1.0 / (1.0 - s * s)) * s * s
+                integral = h * (integrand.sum() - 0.5 * integrand[0])
+                norm = 1.0 / (4.0 * np.pi * r3 * integral)
+        if not 0.0 < norm < np.inf:
+            raise DomainError(
+                f"radius {self.radius!r}: the kernel normalisation {norm!r} is not a positive float"
+            )
+        object.__setattr__(self, "_norm", float(norm))
 
     def weight(self, r):
         """Kernel value at distance(s) ``r`` (zero at and beyond the radius)."""
         r = np.asarray(r, dtype=np.float64)
         inside = r < self.radius
         if self.shape == "indicator":
-            w = 3.0 / (4.0 * np.pi * self.radius**3)
-            return np.where(inside, w, 0.0)
+            return np.where(inside, self._norm, 0.0)
         s2 = np.square(np.where(inside, r / self.radius, 0.0))
         with np.errstate(divide="ignore"):
             prof = np.where(inside, np.exp(-1.0 / np.where(inside, 1.0 - s2, 1.0)), 0.0)
-        return self._bump_norm * prof
+        return self._norm * prof
 
 
 @dataclass(frozen=True)
@@ -115,12 +126,17 @@ def build_grid(positions, box, radius):
     Raises:
         BoxTooSmall: if any box edge is shorter than 2R (a particle could
             then see a neighbor through two periodic images).
+        DomainError: if the squared length of the half-box diagonal, the
+            largest squared minimum-image distance, overflows.
     """
     box = np.broadcast_to(np.asarray(box, dtype=np.float64), (3,)).copy()
     if np.any(box < 2.0 * radius):
         raise BoxTooSmall(
             f"box {box.tolist()} has an edge below 2R = {2.0 * radius}"
         )
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.sum(np.square(0.5 * box))):
+            raise DomainError(f"box {box.tolist()}: squared distances in it overflow")
     x = wrap_positions(positions, box)
     return NeighborTree(box=box, positions=x, tree=cKDTree(x, boxsize=box))
 

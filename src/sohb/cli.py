@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_config, sim_params_from_config, validate_data
-from .errors import DegenerateAverage, SohbError
+from .errors import DegenerateAverage, SchemaError, SohbError, TooFewSamples
 from .estimators import order_parameter
 from .frames import FrameWriter
 from .gci import constants as gci_constants
@@ -37,31 +37,61 @@ def _print_json(obj):
 
 
 def _order_summary(state):
-    """Order-parameter fields for a summary; null when the mean is degenerate."""
+    """Order-parameter fields for a summary; null when the mean is degenerate
+    or there are too few bodies for a standard error."""
     try:
         rep = order_parameter(state.orient, state.kind)
-    except DegenerateAverage:
+    except (DegenerateAverage, TooFewSamples):
         return {"order_parameter": None, "order_parameter_stderr": None}
     return {"order_parameter": rep.value, "order_parameter_stderr": rep.stderr}
 
 
+def _simulate(cfg, init_rng, dyn_rng, out=None):
+    """Run the configured model from a fresh initial state.
+
+    The gradual model takes fixed steps of ``dt``, so ``t_end`` must be a
+    whole number of them (within 1e-9 relative).
+
+    Args:
+        out: optional frame-log path; it gets every ``save_every``-th
+            gradual frame, or the final jump state.
+
+    Returns:
+        (summary, state): the summary dict (``n_events`` for jump runs) and
+        the final state.
+
+    Raises:
+        SchemaError: at ``dt`` when t_end / dt is not a whole number.
+    """
+    params = sim_params_from_config(cfg)
+    steps = cfg["t_end"] / params.dt
+    if params.model == GRADUAL and not abs(steps - np.rint(steps)) <= 1e-9 * steps:
+        raise SchemaError(f"dt: t_end / dt = {steps!r} is not a whole number of steps", path="dt")
+    state = initial_state(params, init_rng)
+    summary = {}
+    writer = FrameWriter(out, metadata={"config": cfg, "version": __version__}) if out else None
+    try:
+        if params.model == GRADUAL:
+            on_frame = writer.write_state if writer else None
+            state = run_gradual(state, params, dyn_rng, cfg["t_end"],
+                                on_frame=on_frame, save_every=cfg["save_every"])
+        else:
+            state, events = run_jump(state, params, dyn_rng, cfg["t_end"])
+            summary["n_events"] = len(events)
+            if writer:
+                writer.write_state(state)
+    finally:
+        if writer:
+            writer.close()
+    summary.update(degenerate_count=state.degenerate_count, **_order_summary(state))
+    return summary, state
+
+
 def _run_replica(cfg, replica):
     """One independent simulation replica; returns its summary dict."""
-    params = sim_params_from_config(cfg)
-    init_rng = replica_rng(cfg["seed"], 2 * replica)
-    dyn_rng = replica_rng(cfg["seed"], 2 * replica + 1)
-    state = initial_state(params, init_rng)
-    if params.model == GRADUAL:
-        state = run_gradual(state, params, dyn_rng, cfg["t_end"])
-        n_events = None
-    else:
-        state, events = run_jump(state, params, dyn_rng, cfg["t_end"])
-        n_events = len(events)
-    out = {"replica": replica, "degenerate_count": state.degenerate_count}
-    out.update(_order_summary(state))
-    if n_events is not None:
-        out["n_events"] = n_events
-    return out
+    summary, _ = _simulate(cfg, replica_rng(cfg["seed"], 2 * replica),
+                           replica_rng(cfg["seed"], 2 * replica + 1))
+    return {"replica": replica, **summary}
 
 
 def cmd_simulate(args):
@@ -87,34 +117,9 @@ def cmd_simulate(args):
         _print_json(report)
         return 0
 
-    params = sim_params_from_config(cfg)
-    init_rng = make_rng(cfg["seed"], STREAM_INIT)
-    dyn_rng = make_rng(cfg["seed"], STREAM_DYNAMICS)
-    state = initial_state(params, init_rng)
-    writer = None
-    if cfg.get("out"):
-        meta = {"config": cfg, "version": __version__}
-        writer = FrameWriter(cfg["out"], metadata=meta)
-    try:
-        if params.model == GRADUAL:
-            on_frame = writer.write_state if writer else None
-            state = run_gradual(
-                state, params, dyn_rng, cfg["t_end"],
-                on_frame=on_frame, save_every=cfg["save_every"],
-            )
-            n_events = None
-        else:
-            state, events = run_jump(state, params, dyn_rng, cfg["t_end"])
-            n_events = len(events)
-            if writer:
-                writer.write_state(state)
-    finally:
-        if writer:
-            writer.close()
-    summary = {"t_end": state.t, "degenerate_count": state.degenerate_count}
-    summary.update(_order_summary(state))
-    if n_events is not None:
-        summary["n_events"] = n_events
+    summary, state = _simulate(cfg, make_rng(cfg["seed"], STREAM_INIT),
+                               make_rng(cfg["seed"], STREAM_DYNAMICS), cfg.get("out"))
+    summary["t_end"] = state.t
     if cfg.get("out"):
         summary["frames"] = cfg["out"]
     _print_json(summary)

@@ -44,9 +44,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .errors import DomainError, NoConvergence
-from .quadrature import adaptive_simpson, gauss_legendre
 from .rotations import hat, mat_dot, rotation_from_axis_angle
-from .sampling import SMALL_D, _angle_density_shifted, c1 as sampling_c1
+from .sampling import _angle_density_shifted, _angle_moment, c1 as sampling_c1
 
 GRADUAL = "gradual"
 JUMP = "jump"
@@ -242,8 +241,8 @@ def _profile_moment(g, d, profile, method):
     """(num, den): integrals of g*w and w with the invariant-profile weight.
 
     w(theta) = m(theta) sin^4(theta/2) hbar(cos(theta/2)) cos(theta/2), with
-    the overflow-safe shifted m (the shift cancels in the ratio). For tiny D
-    the angle is rescaled by sqrt(D).
+    the overflow-safe shifted m (the shift cancels in the ratio), integrated
+    by the same routine as c1.
     """
 
     def w(theta):
@@ -255,24 +254,7 @@ def _profile_moment(g, d, profile, method):
             * np.cos(half)
         )
 
-    if d < SMALL_D:
-        s = np.sqrt(d)
-        hi = min(np.pi / s, 40.0)
-        num = lambda phi: g(s * phi) * w(s * phi)  # noqa: E731
-        den = lambda phi: w(s * phi)  # noqa: E731
-        a, b = 0.0, hi
-    else:
-        num = lambda theta: g(theta) * w(theta)  # noqa: E731
-        den = w
-        a, b = 0.0, np.pi
-    if method == "simpson":
-        return (
-            adaptive_simpson(num, a, b, rel_tol=1e-11),
-            adaptive_simpson(den, a, b, rel_tol=1e-11),
-        )
-    if method == "gauss":
-        return gauss_legendre(num, a, b), gauss_legendre(den, a, b)
-    raise ValueError(f"unknown quadrature method: {method!r}")
+    return _angle_moment(g, w, d, method)
 
 
 def constants(d, model, method="simpson", profile=None):

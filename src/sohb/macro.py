@@ -25,6 +25,10 @@ a unit field), ((grad_rel q) u)_i = Im(d_{i,rel} q) . u and
 div_rel q = sum_i (Im(d_{i,rel} q))_i. The two forms are equivalent under
 Lambda = Phi(qbar) thanks to c2 - c2' = c4 and Dx e_j = 2 Im(d_{j,rel} q).
 
+Each orientation law is written once, as the v of rho dt(orient) + [v] orient
+= 0 (``_orientation_vector``); the residuals and the integrator's angular
+velocity omega = -v / rho both use it.
+
 Discretization: periodic grids, central differences for all derivatives.
 Orientation residuals are assembled as [vector]_x Lambda (resp. [vector] q)
 so tangency (resp. orthogonality) holds to round-off. The integrator updates
@@ -97,12 +101,6 @@ class MacroField:
 
     def total_mass(self):
         return float(np.sum(self.rho) * np.prod(self.spacing))
-
-    def as_matrix_orient(self):
-        """Orientation field as rotation matrices regardless of ``kind``."""
-        if self.kind == MATRIX:
-            return self.orient
-        return quat_to_rot(self.orient)
 
 
 def _central(arr, axis, h):
@@ -179,6 +177,42 @@ def _divergence(vec, spacing):
     return sum(_central(vec[..., a], a, spacing[a]) for a in range(3))
 
 
+def _orientation_vector(field, consts):
+    """The vector v of the orientation equation rho dt(orient) + [v] orient = 0.
+
+    [v] orient is [v]_x Lambda in matrix form and the quaternion product
+    (0, v) qbar in quaternion form; v carries every term of the law except
+    the time derivative.
+    """
+    sp = field.spacing
+    rho = field.rho
+    u = field.headings()
+    grho = grad_scalar(rho, sp)
+    if field.kind == MATRIX:
+        dx = orientation_gradient(field.orient, sp)
+        delta = np.einsum("...ii->...", dx)
+        r_x = axial(dx - np.swapaxes(dx, -1, -2))
+        return (
+            consts.c2 * rho[..., None] * np.einsum("...ij,...j->...i", dx, u)
+            + np.cross(u, 2.0 * consts.c3 * grho + consts.c4 * rho[..., None] * r_x)
+            + consts.c4 * (rho * delta)[..., None] * u
+        )
+    im = rel_gradient(field.orient, sp)[..., 1:]  # (..., direction, 3)
+    transport = np.einsum("...i,...ij->...j", u, im)
+    g = np.einsum("...ij,...j->...i", im, u)
+    div_rel = np.einsum("...ii->...", im)
+    return (
+        consts.c2_prime * rho[..., None] * transport
+        + consts.c3 * np.cross(u, grho)
+        + consts.c4 * rho[..., None] * (g + div_rel[..., None] * u)
+    )
+
+
+def _mass_residual(field, drho_dt, consts):
+    """Residual of the mass equation dt_rho + div(c1 rho u) = 0."""
+    return drho_dt + _divergence(consts.c1 * field.rho[..., None] * field.headings(), field.spacing)
+
+
 def residual_matrix(field, drho_dt, dlam_dt, consts):
     """Residuals of the matrix-form macroscopic system at every node.
 
@@ -195,22 +229,9 @@ def residual_matrix(field, drho_dt, dlam_dt, consts):
     """
     if field.kind != MATRIX:
         raise ValueError("residual_matrix needs a matrix-kind field")
-    sp = field.spacing
-    rho, lam = field.rho, field.orient
-    u = lam[..., :, 0]
-    res_rho = drho_dt + _divergence(consts.c1 * rho[..., None] * u, sp)
-
-    dx = orientation_gradient(lam, sp)
-    delta = np.einsum("...ii->...", dx)
-    r_x = axial(dx - np.swapaxes(dx, -1, -2))
-    grho = grad_scalar(rho, sp)
-    vec = (
-        consts.c2 * rho[..., None] * np.einsum("...ij,...j->...i", dx, u)
-        + np.cross(u, 2.0 * consts.c3 * grho + consts.c4 * rho[..., None] * r_x)
-        + consts.c4 * (rho * delta)[..., None] * u
-    )
-    res_lam = rho[..., None, None] * dlam_dt + hat(vec) @ lam
-    return res_rho, res_lam
+    vec = _orientation_vector(field, consts)
+    res_lam = field.rho[..., None, None] * dlam_dt + hat(vec) @ field.orient
+    return _mass_residual(field, drho_dt, consts), res_lam
 
 
 def residual_quaternion(field, drho_dt, dq_dt, consts):
@@ -229,57 +250,21 @@ def residual_quaternion(field, drho_dt, dq_dt, consts):
     """
     if field.kind != QUATERNION:
         raise ValueError("residual_quaternion needs a quaternion-kind field")
-    sp = field.spacing
-    rho, q = field.rho, field.orient
-    u = quat_e1(q)
-    res_rho = drho_dt + _divergence(consts.c1 * rho[..., None] * u, sp)
-
-    rel = rel_gradient(q, sp)
-    im = rel[..., 1:]  # (..., direction, 3)
-    transport = np.einsum("...i,...ij->...j", u, im)
-    g = np.einsum("...ij,...j->...i", im, u)
-    div_rel = np.einsum("...ii->...", im)
-    grho = grad_scalar(rho, sp)
-    vec = (
-        consts.c2_prime * rho[..., None] * transport
-        + consts.c3 * np.cross(u, grho)
-        + consts.c4 * rho[..., None] * (g + div_rel[..., None] * u)
-    )
-    res_q = rho[..., None] * dq_dt + quat_mul(_embed(vec), q)
-    return res_rho, res_q
+    vec = _orientation_vector(field, consts)
+    res_q = field.rho[..., None] * dq_dt + quat_mul(_embed(vec), field.orient)
+    return _mass_residual(field, drho_dt, consts), res_q
 
 
 def _angular_velocity(field, consts):
     """omega with dt_orient = [omega]_x Lambda (matrix) or [omega] q (quat).
 
-    Solves the orientation equation for the time derivative; the density
-    divides only the pressure-like gradient term.
+    The orientation equation solved for the time derivative: omega = -v / rho
+    with v from :func:`_orientation_vector`.
     """
-    sp = field.spacing
     rho = field.rho
     if np.any(rho <= RHO_FLOOR):
         raise DomainError(f"density fell to {rho.min():.3e}; orientation update ill-posed")
-    grho = grad_scalar(rho, sp)
-    u = field.headings()
-    if field.kind == MATRIX:
-        dx = orientation_gradient(field.orient, sp)
-        delta = np.einsum("...ii->...", dx)
-        r_x = axial(dx - np.swapaxes(dx, -1, -2))
-        return -(
-            consts.c2 * np.einsum("...ij,...j->...i", dx, u)
-            + np.cross(u, 2.0 * consts.c3 * grho / rho[..., None] + consts.c4 * r_x)
-            + consts.c4 * delta[..., None] * u
-        )
-    rel = rel_gradient(field.orient, sp)
-    im = rel[..., 1:]
-    transport = np.einsum("...i,...ij->...j", u, im)
-    g = np.einsum("...ij,...j->...i", im, u)
-    div_rel = np.einsum("...ii->...", im)
-    return -(
-        consts.c2_prime * transport
-        + consts.c3 * np.cross(u, grho) / rho[..., None]
-        + consts.c4 * (g + div_rel[..., None] * u)
-    )
+    return -_orientation_vector(field, consts) / rho[..., None]
 
 
 def _mass_step(rho, u, c1, dt, spacing, viscosity):

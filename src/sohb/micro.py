@@ -16,12 +16,17 @@ Two mechanisms drive alignment toward the neighborhood target orientation:
   an event the particle redraws its orientation from the von Mises
   distribution centered at its current neighborhood target.
 
+The two forms are one dynamics, so each update is written once: ``_form``
+picks the seven pieces that differ (lift, heading, two samplers, increment,
+two target routes) and no other code branches on the representation.
+
 Degenerate neighborhood averages (no well-defined target) fall back to the
 particle's current orientation and are counted in the state, never fatal.
 """
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,12 +40,7 @@ from .alignment import (
     wrap_positions,
 )
 from .errors import DegenerateAverage
-from .rotations import (
-    quat_e1,
-    quat_normalize,
-    rot_to_quat,
-    tangent_step,
-)
+from .rotations import quat_e1, quat_normalize, rot_to_quat, tangent_step
 from .sampling import (
     get_angle_table,
     sample_uniform_quat,
@@ -124,12 +124,6 @@ class ParticleState:
     def n(self):
         return self.x.shape[0]
 
-    def headings(self):
-        """Unit direction of motion per particle (the body's first axis)."""
-        if self.kind == MATRIX:
-            return self.orient[:, :, 0]
-        return quat_e1(self.orient)
-
 
 def initial_state(params, rng, align_center=None, align_d=None):
     """Random initial condition: uniform positions, Haar or von Mises orientations.
@@ -143,42 +137,16 @@ def initial_state(params, rng, align_center=None, align_d=None):
         align_d: concentration noise for the aligned initial condition.
     """
     n = params.n_particles
-    box = params.box_array()
-    x = rng.random((n, 3)) * box
-    if align_center is not None:
-        if params.representation == MATRIX:
-            orient = sample_vonmises_rot(align_center, align_d, rng, size=n)
-        else:
-            qc = rot_to_quat(align_center)
-            orient = sample_vonmises_quat(qc, align_d, rng, size=n)
+    form = _form(params.representation)
+    x = rng.random((n, 3)) * params.box_array()
+    if align_center is None:
+        orient = form.uniform(rng, size=n)
     else:
-        if params.representation == MATRIX:
-            orient = sample_uniform_rot(rng, size=n)
-        else:
-            orient = sample_uniform_quat(rng, size=n)
+        orient = form.vonmises(form.lift(align_center), align_d, rng, size=n)
     state = ParticleState(t=0.0, x=x, orient=orient, kind=params.representation)
     if params.model == JUMP:
         state.next_jump = rng.exponential(1.0, size=n)
     return state
-
-
-def _targets(state, params):
-    """Neighborhood targets for all particles with the fallback policy applied.
-
-    Returns:
-        (targets, n_degenerate): target orientations per particle; entries
-        whose average was degenerate keep the particle's current orientation.
-    """
-    grid = build_grid(state.x, params.box_array(), params.radius)
-    kernel = params.kernel_config()
-    if state.kind == MATRIX:
-        tgt, ok = target_rotations_all(grid, kernel, state.orient)
-    else:
-        tgt, ok = target_quaternions_all(grid, kernel, state.orient)
-    if not np.all(ok):
-        tgt = np.where(ok[:, None, None] if tgt.ndim == 3 else ok[:, None],
-                       tgt, state.orient)
-    return tgt, int(np.sum(~ok))
 
 
 def _increment_matrix(a, target, d, dt, rng):
@@ -209,43 +177,49 @@ def _increment_quat(q, target, d, dt, rng):
     return quat_normalize(q + incr)
 
 
-def step_gradual_matrix(state, params, rng):
-    """One synchronous Euler-polar step of the matrix-valued flow.
+def _form(kind):
+    """The seven pieces that differ between the matrix and the quaternion form.
 
-    Order of operations: freeze the configuration and compute every target;
-    apply :func:`_increment_matrix`; advance positions along the new first
-    axis.
+    ``lift`` (rotation -> this form), ``heading`` (first body axis), the
+    ``uniform`` and ``vonmises`` samplers, the gradual ``increment``, and the
+    batched ``targets`` and single-row ``target``. Looked up at each call, so
+    a wrapper later bound to one of these module names sees every use.
     """
-    abar, fallbacks = _targets(state, params)
-    a_new = _increment_matrix(state.orient, abar, params.d, params.dt, rng)
-    x_new = wrap_positions(state.x + params.dt * a_new[:, :, 0], params.box_array())
-    return replace(
-        state,
-        t=state.t + params.dt,
-        x=x_new,
-        orient=a_new,
-        degenerate_count=state.degenerate_count + fallbacks,
-    )
-
-
-def step_gradual_quat(state, params, rng):
-    """One synchronous Euler-renormalize step of the quaternion-valued flow."""
-    qbar, fallbacks = _targets(state, params)
-    q_new = _increment_quat(state.orient, qbar, params.d, params.dt, rng)
-    x_new = wrap_positions(state.x + params.dt * quat_e1(q_new), params.box_array())
-    return replace(
-        state,
-        t=state.t + params.dt,
-        x=x_new,
-        orient=q_new,
-        degenerate_count=state.degenerate_count + fallbacks,
+    if kind == MATRIX:
+        return SimpleNamespace(
+            lift=lambda rot: rot, heading=lambda o: o[..., :, 0],
+            uniform=sample_uniform_rot, vonmises=sample_vonmises_rot,
+            increment=_increment_matrix, targets=target_rotations_all, target=target_rotation,
+        )
+    return SimpleNamespace(
+        lift=rot_to_quat, heading=quat_e1,
+        uniform=sample_uniform_quat, vonmises=sample_vonmises_quat,
+        increment=_increment_quat, targets=target_quaternions_all, target=target_quaternion,
     )
 
 
 def step_gradual(state, params, rng):
-    if state.kind == MATRIX:
-        return step_gradual_matrix(state, params, rng)
-    return step_gradual_quat(state, params, rng)
+    """One synchronous step of the gradual model, in either form.
+
+    Order of operations: freeze the configuration and compute every target
+    (a degenerate average keeps the body's current orientation and is
+    counted); apply the form's increment; advance positions along the new
+    first axis.
+    """
+    form = _form(state.kind)
+    box = params.box_array()
+    grid = build_grid(state.x, box, params.radius)
+    tgt, ok = form.targets(grid, params.kernel_config(), state.orient)
+    if not np.all(ok):
+        tgt = np.where(ok.reshape(ok.shape + (1,) * (tgt.ndim - 1)), tgt, state.orient)
+    orient = form.increment(state.orient, tgt, params.d, params.dt, rng)
+    return replace(
+        state,
+        t=state.t + params.dt,
+        x=wrap_positions(state.x + params.dt * form.heading(orient), box),
+        orient=orient,
+        degenerate_count=state.degenerate_count + int(np.sum(~ok)),
+    )
 
 
 def run_gradual(state, params, rng, t_end, on_frame=None, save_every=1):
@@ -272,10 +246,11 @@ _TREE_SKIN = 0.5
 def run_jump(state, params, rng, t_end, on_event=None):
     """Event-driven loop of the jump process until t_end.
 
-    Maintains a binary min-heap of per-particle next-jump times (ties broken
-    by particle index). Positions are lazy: particle i keeps an anchor
-    (x_i, t_i) and is at wrap(x_i + (t - t_i) e1_i) at time t, so an event
-    moves only the jumping particle's anchor, to its position at the event.
+    Maintains a binary min-heap of next-jump times that holds exactly one
+    entry per particle (ties broken by particle index). Positions are lazy:
+    particle i keeps an anchor (x_i, t_i) and is at wrap(x_i + (t - t_i) e1_i)
+    at time t, so an event moves only the jumping particle's anchor, to its
+    position at the event.
     Its neighbors are looked up in a periodic tree built at time t_b: the
     candidates within R + (t - t_b) of it hold every particle within R,
     since none moves faster than unit speed. The tree is rebuilt at the first
@@ -303,8 +278,8 @@ def run_jump(state, params, rng, t_end, on_event=None):
     anchor_t = np.full(n_total, float(state.t))
     t_b = state.t
     orient = state.orient.copy()
-    is_matrix = state.kind == MATRIX
-    head = orient[:, :, 0] if is_matrix else quat_e1(orient)  # a view for matrices
+    form = _form(state.kind)
+    head = form.heading(orient)  # a view for matrices
     next_jump = state.next_jump.copy()
     fallbacks = state.degenerate_count
     kernel = params.kernel_config()
@@ -315,8 +290,6 @@ def run_jump(state, params, rng, t_end, on_event=None):
 
     while heap and heap[0][0] <= t_end:
         t, n = heapq.heappop(heap)
-        if t != next_jump[n]:
-            continue  # stale entry
         if t - t_b > _TREE_SKIN * radius:
             grid = build_grid(anchor_x + (t - anchor_t)[:, None] * head, box, radius)
             t_b = t
@@ -326,20 +299,14 @@ def run_jump(state, params, rng, t_end, on_event=None):
         x_cand = anchor_x[cand] + (t - anchor_t[cand])[:, None] * head[cand]
         k = int(np.searchsorted(cand, n))
         try:
-            if is_matrix:
-                center = target_rotation(k, x_cand, box, orient[cand], kernel, n_total=n_total)
-            else:
-                center = target_quaternion(k, x_cand, box, orient[cand], kernel, n_total=n_total)
+            center = form.target(k, x_cand, box, orient[cand], kernel, n_total=n_total)
         except DegenerateAverage:
             center = orient[n]
             fallbacks += 1
         anchor_x[n] = x_n
         anchor_t[n] = t
-        if is_matrix:
-            orient[n] = sample_vonmises_rot(center, params.d, rng, table=table)
-        else:
-            orient[n] = sample_vonmises_quat(center, params.d, rng, table=table)
-            head[n] = quat_e1(orient[n])
+        orient[n] = form.vonmises(center, params.d, rng, table=table)
+        head[n] = form.heading(orient[n])
         events.append((t, n))
         if on_event is not None:
             on_event(t, n, orient[n])
@@ -398,7 +365,8 @@ def run_single_in_field(
         (replicas, 4). Jump: (times, orients) — event times and post-jump
         orientations, shapes (M,) and (M, 3, 3) / (M, 4).
     """
-    field = np.asarray(field, dtype=np.float64)
+    form = _form(representation)
+    center = form.lift(np.asarray(field, dtype=np.float64))
     if model == JUMP:
         if n_jumps is None:
             # Draw clocks in growing chunks until the horizon is passed.
@@ -411,29 +379,16 @@ def run_single_in_field(
         else:
             m = int(n_jumps)
             times = np.cumsum(rng.exponential(1.0, size=m))
-        if representation == MATRIX:
-            orients = sample_vonmises_rot(field, d, rng, size=max(m, 1))[:m]
-        else:
-            orients = sample_vonmises_quat(rot_to_quat(field), d, rng, size=max(m, 1))[:m]
-        return times, orients
+        return times, form.vonmises(center, d, rng, size=max(m, 1))[:m]
 
     if model != GRADUAL:
         raise ValueError(f"unknown model: {model!r}")
     nsteps = int(round(t_end / dt))
     r = int(replicas)
-    if representation == MATRIX:
-        if init == "stationary":
-            a = sample_vonmises_rot(field, d, rng, size=r)
-        else:
-            a = np.broadcast_to(field, (r, 3, 3)).copy()
-        for _ in range(nsteps):
-            a = _increment_matrix(a, field, d, dt, rng)
-        return a
-    qf = rot_to_quat(field)
     if init == "stationary":
-        q = sample_vonmises_quat(qf, d, rng, size=r)
+        orient = form.vonmises(center, d, rng, size=r)
     else:
-        q = np.broadcast_to(qf, (r, 4)).copy()
+        orient = np.broadcast_to(center, (r,) + center.shape).copy()
     for _ in range(nsteps):
-        q = _increment_quat(q, qf, d, dt, rng)
-    return q
+        orient = form.increment(orient, center, d, dt, rng)
+    return orient

@@ -118,11 +118,6 @@ def _polar_svd(m):
     return u @ vt
 
 
-def _det_above_floor(m, det_floor):
-    """det(m) > det_floor * (|m|_F^2 / 3)^(3/2), a test that scaling m leaves alone."""
-    return np.linalg.det(m) > det_floor * (np.sum(m * m, axis=(-1, -2)) / 3.0) ** 1.5
-
-
 def polar_rotation(m, det_floor=DELTA_DET):
     """Rotation factor of the polar decomposition m = R S (S symmetric).
 
@@ -137,12 +132,12 @@ def polar_rotation(m, det_floor=DELTA_DET):
     Raises:
         DegenerateAverage: if any det(m) <= det_floor * (|m|_F^2 / 3)^(3/2).
     """
-    m = np.asarray(m, dtype=np.float64)
-    if not np.all(_det_above_floor(m, det_floor)):
+    rot, ok = polar_rotation_or_mask(m, det_floor)
+    if not ok.all():
         raise DegenerateAverage(
             f"polar rotation undefined: det(m) <= {det_floor:.1e} * (|m|_F^2 / 3)^(3/2)"
         )
-    return _polar_svd(m)
+    return rot
 
 
 def polar_rotation_or_mask(m, det_floor=DELTA_DET):
@@ -150,11 +145,16 @@ def polar_rotation_or_mask(m, det_floor=DELTA_DET):
 
     Returns:
         (rotations, ok): ``rotations`` has the closest rotation for every
-        entry (meaningful only where ``ok``); ``ok`` is True where
-        det(m) > det_floor * (|m|_F^2 / 3)^(3/2).
+        entry where ``ok`` and the identity elsewhere; ``ok`` is True where
+        det(m) > det_floor * (|m|_F^2 / 3)^(3/2), which holds only for
+        finite entries. Only those reach the SVD, which can fail on NaN
+        and does not return on an infinite entry.
     """
     m = np.asarray(m, dtype=np.float64)
-    return _polar_svd(m), _det_above_floor(m, det_floor)
+    ok = np.linalg.det(m) > det_floor * (np.sum(m * m, axis=(-1, -2)) / 3.0) ** 1.5
+    if not ok.all():
+        m = np.where(ok[..., None, None], m, np.eye(3))
+    return _polar_svd(m), ok
 
 
 def retract(m):
@@ -352,15 +352,10 @@ def max_eigvec(qt, gap_floor=DELTA_GAP):
     Raises:
         DegenerateAverage: if the maximal eigenvalue is (nearly) multiple.
     """
-    qt = np.asarray(qt, dtype=np.float64)
-    vals, vecs = np.linalg.eigh(qt)
-    gap = vals[..., 3] - vals[..., 2]
-    if np.any(gap <= gap_floor):
-        raise DegenerateAverage(
-            f"leading eigenvalue not simple: gap = {np.min(gap):.3e} <= {gap_floor:.1e}"
-        )
-    q = vecs[..., :, 3]
-    return _canonical_sign(q)
+    q, ok = max_eigvec_or_mask(qt, gap_floor)
+    if not ok.all():
+        raise DegenerateAverage(f"leading eigenvalue not simple: gap <= {gap_floor:.1e}")
+    return q
 
 
 def max_eigvec_or_mask(qt, gap_floor=DELTA_GAP):

@@ -191,32 +191,22 @@ def sample_uniform_rot(rng, size=None):
     return quat_to_rot(sample_uniform_quat(rng, size))
 
 
-def _angle_moment(g, d, method):
-    """Integrals (num, den) of g * weight and weight, weight = m sin^2(theta/2).
+def _angle_moment(g, weight, d, method):
+    """Integrals (num, den) of g * weight and weight over theta in [0, pi].
 
-    Uses the overflow-safe shifted weight (the shift cancels in every ratio).
-    For D < SMALL_D the substitution theta = sqrt(D) phi tames the peak.
+    ``weight`` is an angle weight built on the overflow-safe shifted density
+    (the shift cancels in every ratio). For D < SMALL_D the substitution
+    theta = sqrt(D) phi tames the concentration peak at theta = 0.
     """
-    if d < SMALL_D:
-        s = np.sqrt(d)
-        hi = min(np.pi / s, 40.0)
+    s = np.sqrt(d) if d < SMALL_D else 1.0
 
-        def num(phi):
-            return g(s * phi) * _angle_density_shifted(s * phi, d)
+    def num(phi):
+        return g(s * phi) * weight(s * phi)
 
-        def den(phi):
-            return _angle_density_shifted(s * phi, d)
+    def den(phi):
+        return weight(s * phi)
 
-        a, b = 0.0, hi
-    else:
-        def num(theta):
-            return g(theta) * _angle_density_shifted(theta, d)
-
-        def den(theta):
-            return _angle_density_shifted(theta, d)
-
-        a, b = 0.0, np.pi
-
+    a, b = 0.0, min(np.pi / s, 40.0)
     if method == "simpson":
         return (
             adaptive_simpson(num, a, b, rel_tol=1e-11),
@@ -241,5 +231,7 @@ def c1(d, method="simpson"):
     """
     if d <= 0.0:
         raise ValueError(f"noise intensity must be positive, got {d}")
-    num, den = _angle_moment(lambda t: 0.5 + np.cos(t), d, method)
+    num, den = _angle_moment(
+        lambda t: 0.5 + np.cos(t), lambda t: _angle_density_shifted(t, d), d, method
+    )
     return (2.0 / 3.0) * num / den

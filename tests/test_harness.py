@@ -323,6 +323,59 @@ def test_cli_simulate_jump_rejects_small_box(tmp_path, capsys):
     assert err.startswith("error:") and "box [1.5, 1.5, 1.5]" in err
 
 
+@pytest.mark.parametrize("model", ["gradual", "jump"])
+def test_cli_simulate_single_body(tmp_path, capsys, model):
+    """One body has no standard error: the order parameter is null, not an error."""
+    cfg = write_config(tmp_path, n=1, model=model)
+    assert main(["simulate", "--config", cfg]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["order_parameter"] is None
+    assert summary["order_parameter_stderr"] is None
+
+
+@pytest.mark.parametrize("dt", [10.0, 0.3])
+def test_cli_simulate_rejects_partial_gradual_step(tmp_path, capsys, dt):
+    """t_end = 1 is not a whole number of steps of 10 or of 0.3."""
+    from sohb.cli import _simulate
+
+    cfg = write_config(tmp_path, dt=dt, t_end=1.0)
+    with pytest.raises(SchemaError) as exc:
+        _simulate(load_config(cfg), make_rng(0, 0), make_rng(0, 1))
+    assert exc.value.path == "dt"
+    out = str(tmp_path / "never.ndjson")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: dt:")
+    assert not (tmp_path / "never.ndjson").exists()
+
+
+def test_cli_simulate_default_horizon_runs(tmp_path, capsys):
+    """The default dt = 2e-3 and t_end = 1 make 500 whole steps."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 4, "box": 3.0}))
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["t_end"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("overrides, field", [
+    pytest.param({"radius": 1e-120}, "radius", id="radius-1e-120"),
+    pytest.param({"radius": 1e-300, "kernel": "smooth-bump"}, "radius", id="bump-radius-1e-300"),
+    pytest.param({"box": 1e155}, "box", id="box-1e155"),
+])
+def test_cli_simulate_names_out_of_range_field(tmp_path, capsys, overrides, field):
+    """Radii whose kernel normalisation is not a float, and boxes whose squared
+    distances overflow, fail with a SohbError that names the field."""
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["simulate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ")
+
+
+def test_cli_simulate_largest_box_runs(tmp_path, capsys):
+    """1e154 is below the overflow edge (2 sqrt(max float / 3) = 1.548e154)."""
+    assert main(["simulate", "--config", write_config(tmp_path, box=1e154)]) == 0
+    capsys.readouterr()
+
+
 def test_cli_simulate_replicas(tmp_path, capsys):
     cfg = write_config(tmp_path, replicas=2, model="jump", t_end=0.2)
     assert main(["simulate", "--config", cfg]) == 0

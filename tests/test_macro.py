@@ -19,7 +19,7 @@ from sohb.macro import (
     step_macro,
     twisted_initial_data,
 )
-from sohb.rotations import axial, quat_conj, quat_mul, quat_to_rot
+from sohb.rotations import axial, hat, quat_conj, quat_mul, quat_to_rot
 
 # Any plausible coefficient tuple works for operator tests; the integrator
 # only consumes the numbers. These are the D = 1 jump-model values.
@@ -296,6 +296,23 @@ def test_c2_and_c2_prime_placement():
 
 
 # --- integrator -------------------------------------------------------------------
+
+
+def test_integrator_solves_the_residual_law():
+    """The integrator's time derivative [omega] orient, omega from
+    ``_angular_velocity``, zeroes the orientation residual in both forms, so
+    the law the integrator advances is the one the residuals check."""
+    from sohb.macro import _angular_velocity
+
+    f_mat, f_quat = twisted_initial_data(32, 1.0)
+    omega = _angular_velocity(f_mat, CONSTS)
+    _, res_lam = residual_matrix(f_mat, 0.0, hat(omega) @ f_mat.orient, CONSTS)
+    np.testing.assert_allclose(res_lam, 0.0, rtol=0.0, atol=1e-13)
+    omega = _angular_velocity(f_quat, CONSTS)
+    pure = np.concatenate([np.zeros(omega.shape[:-1] + (1,)), omega], axis=-1)
+    _, res_q = residual_quaternion(f_quat, 0.0, quat_mul(pure, f_quat.orient), CONSTS)
+    np.testing.assert_allclose(res_q, 0.0, rtol=0.0, atol=1e-13)
+    assert np.max(np.abs(omega)) > 0.1  # the law is not trivially zero here
 
 
 def test_uniform_state_is_fixed_point():
