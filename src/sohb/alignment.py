@@ -8,12 +8,15 @@ of its neighbors' orientations (itself included):
   target = leading unit eigenvector.
 
 Both routes agree through the double cover whenever neither is degenerate.
-Neighbors come from a periodic ``scipy.spatial.cKDTree`` and the averages
-from one sparse weight matrix, so a step costs O(N log N) at fixed density;
-distances are always minimum-image in the periodic box.
+Neighbors come from a periodic ``scipy.spatial.cKDTree``, so a search costs
+O(N log N) at fixed density; distances are always minimum-image in the
+periodic box. A :class:`NeighborList` keeps the pairs within a search radius
+and the sparse pattern of their weight matrix: searched with a skin beyond
+the kernel radius, it serves several steps of moving bodies (a Verlet list),
+each of which only recomputes the candidates' distances and weights.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -141,17 +144,23 @@ def build_grid(positions, box, radius):
     return NeighborTree(box=box, positions=x, tree=cKDTree(x, boxsize=box))
 
 
+def _pair_distances(x, a, b, box):
+    """Minimum-image distances |x[a] - x[b]| of the pairs (a, b)."""
+    sep = minimum_image(np.take(x, a, axis=0) - np.take(x, b, axis=0), box)
+    return np.sqrt(np.einsum("ij,ij->i", sep, sep))
+
+
 def neighbor_pairs(grid, radius):
     """All ordered pairs (i, j) within ``radius``, including the self pair (i, i).
 
     Returns:
         (i, j, dist): index arrays and minimum-image distances, one entry
-        per ordered pair with dist <= radius.
+        per ordered pair with dist <= radius: first the P unordered pairs
+        (i < j), then the same P pairs reversed, then the N self pairs.
     """
     x = grid.positions
     a, b = grid.tree.query_pairs(radius, output_type="ndarray").T
-    sep = minimum_image(x[a] - x[b], grid.box)
-    dist = np.sqrt(np.einsum("ij,ij->i", sep, sep))
+    dist = _pair_distances(x, a, b, grid.box)
     diag = np.arange(x.shape[0])
     return (
         np.concatenate([a, b, diag]),
@@ -160,22 +169,80 @@ def neighbor_pairs(grid, radius):
     )
 
 
-def _weighted_sums(grid, kernel, values):
-    """Kernel-weighted neighbor sums (1/N) sum_j K(d_ij) values[j] for all i."""
+@dataclass(frozen=True)
+class NeighborList:
+    """Candidate pairs of a neighbor search and the sparse pattern of their weights.
+
+    The weight matrix has one entry per ordered candidate pair and per self
+    pair, in CSR order (by row, then by column), so a product with it sums
+    each row's terms in the order of a freshly built matrix. Entry k holds
+    the weight at distance ``dist[slot[k]]``, where slot P (one past the
+    last pair) stands for the self pairs at distance 0.
+
+    Attributes:
+        box: periodic box edge lengths, shape (3,).
+        a, b: the P unordered candidate pairs, shape (P,) each.
+        dist: minimum-image distance of each candidate pair.
+        indptr, indices: CSR pattern of the (N, N) weight matrix.
+        slot: distance slot of each CSR entry.
+    """
+
+    box: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    dist: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+
+    def moved(self, positions):
+        """The same candidates, with their distances at new wrapped positions."""
+        return replace(self, dist=_pair_distances(positions, self.a, self.b, self.box))
+
+
+def neighbor_list(grid, radius):
+    """Every pair within ``radius`` of the tree's positions, as a :class:`NeighborList`.
+
+    Given the kernel radius this is a full neighbor search. Given the kernel
+    radius plus a skin s, the list still holds every pair within the kernel
+    radius after each body has moved by up to s/2.
+    """
+    i, j, dist = neighbor_pairs(grid, radius)
+    n = grid.positions.shape[0]
+    p = (i.shape[0] - n) // 2
+    slots = np.concatenate([np.arange(p), np.arange(p), np.full(n, p)])
+    # No entry repeats, so the CSR conversion only sorts: its data is the slot map.
+    pattern = csr_matrix((slots, (i, j)), shape=(n, n))
+    return NeighborList(box=grid.box, a=i[:p], b=j[:p], dist=dist[:p],
+                        indptr=pattern.indptr, indices=pattern.indices, slot=pattern.data)
+
+
+def _weighted_sums(neighbors, kernel, values):
+    """Kernel-weighted neighbor sums (1/N) sum_j K(d_ij) values[j] for all i.
+
+    ``neighbors`` is a :class:`NeighborList` holding every pair within the
+    kernel radius, or a :class:`NeighborTree` to search at that radius.
+    """
+    if isinstance(neighbors, NeighborTree):
+        neighbors = neighbor_list(neighbors, kernel.radius)
     n = values.shape[0]
-    i, j, dist = neighbor_pairs(grid, kernel.radius)
-    weights = csr_matrix((kernel.weight(dist) / n, (i, j)), shape=(n, n))
+    w = kernel.weight(np.append(neighbors.dist, 0.0)) / n
+    weights = csr_matrix((w[neighbors.slot], neighbors.indices, neighbors.indptr), shape=(n, n))
     return (weights @ values.reshape(n, -1)).reshape(values.shape)
 
 
-def average_rotation_matrix(grid, kernel, rotations):
-    """Jbar for every particle: kernel-weighted mean orientation matrices."""
-    return _weighted_sums(grid, kernel, np.asarray(rotations, dtype=np.float64))
+def average_rotation_matrix(neighbors, kernel, rotations):
+    """Jbar for every particle: kernel-weighted mean orientation matrices.
+
+    ``neighbors`` is a :class:`NeighborTree` or :class:`NeighborList`, as
+    for all the batched averages and targets below.
+    """
+    return _weighted_sums(neighbors, kernel, np.asarray(rotations, dtype=np.float64))
 
 
-def average_qtensor(grid, kernel, quats):
+def average_qtensor(neighbors, kernel, quats):
     """Qbar for every particle: kernel-weighted mean Q-tensors."""
-    return _weighted_sums(grid, kernel, qtensor(np.asarray(quats, dtype=np.float64)))
+    return _weighted_sums(neighbors, kernel, qtensor(np.asarray(quats, dtype=np.float64)))
 
 
 def _kernel_average(n, positions, box, values, kernel, n_total):
@@ -216,7 +283,7 @@ def target_quaternion(n, positions, box, quats, kernel, gap_floor=DELTA_GAP, n_t
     return max_eigvec(qbar, gap_floor)
 
 
-def target_rotations_all(grid, kernel, rotations, det_floor=DELTA_DET):
+def target_rotations_all(neighbors, kernel, rotations, det_floor=DELTA_DET):
     """Targets for every particle at once (matrix route).
 
     Returns:
@@ -224,11 +291,11 @@ def target_rotations_all(grid, kernel, rotations, det_floor=DELTA_DET):
         False the average was degenerate and ``targets`` holds a placeholder
         the caller must replace per its fallback policy.
     """
-    jbar = average_rotation_matrix(grid, kernel, rotations)
+    jbar = average_rotation_matrix(neighbors, kernel, rotations)
     return polar_rotation_or_mask(jbar, det_floor)
 
 
-def target_quaternions_all(grid, kernel, quats, gap_floor=DELTA_GAP):
+def target_quaternions_all(neighbors, kernel, quats, gap_floor=DELTA_GAP):
     """Targets for every particle at once (quaternion route); see above."""
-    qbar = average_qtensor(grid, kernel, quats)
+    qbar = average_qtensor(neighbors, kernel, quats)
     return max_eigvec_or_mask(qbar, gap_floor)

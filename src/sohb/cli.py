@@ -19,13 +19,13 @@ import numpy as np
 
 from . import __version__
 from .config import load_config, sim_params_from_config, validate_data
-from .errors import DegenerateAverage, SchemaError, SohbError, TooFewSamples
+from .errors import DegenerateAverage, DomainError, SchemaError, SohbError, TooFewSamples
 from .estimators import order_parameter
 from .frames import FrameWriter
 from .gci import constants as gci_constants
 from .gci import get_profile, verify_adjoint_jump
 from .macro import run_macro, twisted_initial_data
-from .micro import GRADUAL, initial_state, run_gradual, run_jump, run_single_in_field
+from .micro import GRADUAL, gradual_steps, initial_state, run_gradual, run_jump, run_single_in_field
 from .rng import STREAM_DYNAMICS, STREAM_INIT, make_rng, replica_rng
 from .rotations import quat_to_rot, rot_to_quat
 from .sampling import sample_uniform_rot
@@ -64,9 +64,11 @@ def _simulate(cfg, init_rng, dyn_rng, out=None):
         SchemaError: at ``dt`` when t_end / dt is not a whole number.
     """
     params = sim_params_from_config(cfg)
-    steps = cfg["t_end"] / params.dt
-    if params.model == GRADUAL and not abs(steps - np.rint(steps)) <= 1e-9 * steps:
-        raise SchemaError(f"dt: t_end / dt = {steps!r} is not a whole number of steps", path="dt")
+    if params.model == GRADUAL:
+        try:
+            gradual_steps(0.0, cfg["t_end"], params.dt)
+        except DomainError as exc:
+            raise SchemaError(str(exc), path="dt") from exc
     state = initial_state(params, init_rng)
     summary = {}
     writer = FrameWriter(out, metadata={"config": cfg, "version": __version__}) if out else None

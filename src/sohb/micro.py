@@ -10,6 +10,9 @@ Two mechanisms drive alignment toward the neighborhood target orientation:
   noise enters as 2 sqrt(D) dB per entry and quaternion noise as
   sqrt(D/2) dB; the factor asymmetry is intrinsic to the two representations
   (the double cover halves angular increments) and must not be altered.
+  ``run_gradual`` keeps its neighbor candidates across steps (a Verlet list
+  with skin R/10, valid while no body can have moved half the skin) and
+  takes the same steps, bit for bit, as ``step_gradual``'s full search.
 * jump: a piecewise deterministic process — each particle carries an
   exponential(1) clock; between events all positions move ballistically at
   unit speed along the body's first axis while orientations stay frozen; at
@@ -33,13 +36,14 @@ import numpy as np
 from .alignment import (
     KernelConfig,
     build_grid,
+    neighbor_list,
     target_quaternion,
     target_quaternions_all,
     target_rotation,
     target_rotations_all,
     wrap_positions,
 )
-from .errors import DegenerateAverage
+from .errors import DegenerateAverage, DomainError
 from .rotations import quat_e1, quat_normalize, rot_to_quat, tangent_step
 from .sampling import (
     get_angle_table,
@@ -198,42 +202,102 @@ def _form(kind):
     )
 
 
-def step_gradual(state, params, rng):
-    """One synchronous step of the gradual model, in either form.
+def gradual_steps(t, t_end, dt):
+    """Number of whole steps of ``dt`` from ``t`` to ``t_end``.
 
-    Order of operations: freeze the configuration and compute every target
-    (a degenerate average keeps the body's current orientation and is
-    counted); apply the form's increment; advance positions along the new
-    first axis.
+    Raises:
+        DomainError: naming ``dt`` when (t_end - t) / dt is not a whole
+            number within 1e-9 relative (or is negative).
     """
+    steps = (t_end - t) / dt
+    if not abs(steps - np.rint(steps)) <= 1e-9 * steps:
+        raise DomainError(f"dt: (t_end - t) / dt = {steps!r} is not a whole number of steps")
+    return int(np.rint(steps))
+
+
+#: Skin of the gradual model's Verlet list, in radii.
+_VERLET_SKIN = 0.1
+
+
+def _verlet_steps(params, box):
+    """Steps a list searched at R + s still serves after the one it is built for.
+
+    Bodies move at unit speed, so a pair distance changes by at most 2 dt
+    per step and the list holds every pair within R for floor(s / (2 dt))
+    steps. The factor 1 + 1e-6 allows for headings of length 1 only to
+    rounding, and ``ulps`` for rounding in the wrapped positions and in the
+    distances. Zero means a list serves one step only, so it takes no skin.
+    """
+    skin = _VERLET_SKIN * params.radius
+    ulps = 16.0 * np.finfo(np.float64).eps * float(np.max(box))
+    return int(max(skin - ulps, 0.0) // (2.0 * (params.dt * (1.0 + 1e-6) + ulps)))
+
+
+def _neighbors(state, params, box, skin):
+    """Neighbor list of the wrapped positions, searched at R + skin."""
+    return neighbor_list(build_grid(state.x, box, params.radius), params.radius + skin)
+
+
+def _step_gradual(state, params, rng, box, neighbors, t):
+    """One gradual step from ``state`` to time ``t``, with ``neighbors``
+    holding every pair within R of ``state.x``."""
     form = _form(state.kind)
-    box = params.box_array()
-    grid = build_grid(state.x, box, params.radius)
-    tgt, ok = form.targets(grid, params.kernel_config(), state.orient)
+    tgt, ok = form.targets(neighbors, params.kernel_config(), state.orient)
     if not np.all(ok):
         tgt = np.where(ok.reshape(ok.shape + (1,) * (tgt.ndim - 1)), tgt, state.orient)
     orient = form.increment(state.orient, tgt, params.d, params.dt, rng)
     return replace(
         state,
-        t=state.t + params.dt,
+        t=t,
         x=wrap_positions(state.x + params.dt * form.heading(orient), box),
         orient=orient,
         degenerate_count=state.degenerate_count + int(np.sum(~ok)),
     )
 
 
+def step_gradual(state, params, rng):
+    """One synchronous step of the gradual model, in either form.
+
+    Order of operations: freeze the configuration and compute every target
+    (a degenerate average keeps the body's current orientation and is
+    counted); apply the form's increment; advance positions along the new
+    first axis. The neighbors come from a full search at the kernel radius.
+    """
+    box = params.box_array()
+    return _step_gradual(state, params, rng, box, _neighbors(state, params, box, 0.0),
+                         state.t + params.dt)
+
+
 def run_gradual(state, params, rng, t_end, on_frame=None, save_every=1):
     """Advance the gradual model to t_end with fixed steps.
+
+    The steps are those of :func:`step_gradual`, bit for bit, but share a
+    Verlet list: the pairs within R + s, searched once and kept for as many
+    steps as :func:`_verlet_steps` allows. Step k ends at t + k dt, the last
+    one at ``t_end`` exactly.
 
     Args:
         on_frame: optional callback(state) invoked on the initial state and
             then after every ``save_every``-th step (and on the final step).
+
+    Raises:
+        DomainError: naming ``dt`` when t_end - t is not a whole number of
+            steps; see :func:`gradual_steps`.
     """
-    nsteps = int(round((t_end - state.t) / params.dt))
+    nsteps = gradual_steps(state.t, t_end, params.dt)
+    box = params.box_array()
+    reuse = _verlet_steps(params, box)
+    skin = _VERLET_SKIN * params.radius if reuse else 0.0
+    t0 = state.t
     if on_frame is not None:
         on_frame(state)
     for k in range(nsteps):
-        state = step_gradual(state, params, rng)
+        if k % (reuse + 1) == 0:
+            neighbors = _neighbors(state, params, box, skin)
+        else:
+            neighbors = neighbors.moved(state.x)
+        t = t_end if k == nsteps - 1 else t0 + (k + 1) * params.dt
+        state = _step_gradual(state, params, rng, box, neighbors, t)
         if on_frame is not None and ((k + 1) % save_every == 0 or k == nsteps - 1):
             on_frame(state)
     return state

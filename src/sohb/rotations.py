@@ -15,7 +15,7 @@ identity checked in the test suite:
 
 import numpy as np
 
-from .errors import DegenerateAverage
+from .errors import DegenerateAverage, DomainError
 
 #: Relative determinant floor below which a matrix average has no usable polar
 #: rotation: det(m) is compared with DELTA_DET * (|m|_F^2 / 3)^(3/2), so the
@@ -148,10 +148,15 @@ def polar_rotation_or_mask(m, det_floor=DELTA_DET):
         entry where ``ok`` and the identity elsewhere; ``ok`` is True where
         det(m) > det_floor * (|m|_F^2 / 3)^(3/2), which holds only for
         finite entries. Only those reach the SVD, which can fail on NaN
-        and does not return on an infinite entry.
+        and does not return on an infinite entry. The test runs on m scaled
+        by a power of two to a largest |entry| in [1/2, 1), which is exact,
+        so the verdict is the same at every scale of m, without overflow
+        or underflow.
     """
     m = np.asarray(m, dtype=np.float64)
-    ok = np.linalg.det(m) > det_floor * (np.sum(m * m, axis=(-1, -2)) / 3.0) ** 1.5
+    _, e = np.frexp(np.abs(m).max(axis=(-1, -2), initial=0.0))
+    s = np.ldexp(m, -e[..., None, None])
+    ok = np.linalg.det(s) > det_floor * (np.sum(s * s, axis=(-1, -2)) / 3.0) ** 1.5
     if not ok.all():
         m = np.where(ok[..., None, None], m, np.eye(3))
     return _polar_svd(m), ok
@@ -166,8 +171,14 @@ def retract(m):
     |X^T X - I| <= 1e-12, with an SVD fallback for entries that miss that
     after six iterations or are too far from orthogonal for the iteration
     to reach their polar factor.
+
+    Raises:
+        DomainError: if an entry is NaN or infinite; the SVD would fail on
+            it or never return.
     """
     m = np.asarray(m, dtype=np.float64)
+    if not np.isfinite(m).all():
+        raise DomainError("retract: the matrix has a NaN or infinite entry")
     shape = m.shape
     x = m.reshape((-1, 3, 3)).copy()
     eye = np.eye(3)

@@ -246,3 +246,25 @@ def test_average_rotation_matrix_direct():
     w = KERNEL.weight(np.linalg.norm(sep, axis=-1)) / n
     expected = np.einsum("nm,mab->nab", w, rots)
     np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", ["indicator", "smooth-bump"])
+def test_neighbor_list_sums_match_fresh_matrix(shape):
+    """A list searched with a skin, moved to new positions, sums bit for bit
+    as a weight matrix built from a fresh search at the new positions."""
+    from scipy.sparse import csr_matrix
+
+    from sohb.alignment import neighbor_list, wrap_positions
+
+    kernel = KernelConfig(radius=R, shape=shape)
+    rng = make_rng(32, 7)
+    n, box = 300, np.full(3, 5.0)
+    x0 = rng.uniform(0, 5.0, (n, 3))
+    x1 = wrap_positions(x0 + 0.05 * rng.standard_normal((n, 3)) / np.sqrt(3.0), box)
+    rots = sample_uniform_rot(rng, size=n)
+    moved = neighbor_list(build_grid(x0, box, R), 1.5 * R).moved(x1)
+    i, j, dist = neighbor_pairs(build_grid(x1, box, R), R)
+    fresh = csr_matrix((kernel.weight(dist) / n, (i, j)), shape=(n, n))
+    want = (fresh @ rots.reshape(n, -1)).reshape(rots.shape)
+    np.testing.assert_array_equal(average_rotation_matrix(moved, kernel, rots), want)
+    np.testing.assert_array_equal(average_rotation_matrix(build_grid(x1, box, R), kernel, rots), want)

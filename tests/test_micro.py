@@ -189,6 +189,114 @@ def test_runs_deterministic():
     np.testing.assert_array_equal(a.x, b.x)
 
 
+# --- gradual: Verlet list and horizons -------------------------------------------
+
+VERLET_CASES = [
+    pytest.param(200, 80.0 ** (1.0 / 3.0), 2e-3, 80, id="density-2.5"),
+    pytest.param(16, 2.0, 2e-3, 80, id="box-2R"),
+    pytest.param(64, 4.0, 0.06, 6, id="dt-above-half-skin"),
+]
+
+
+def _verlet_run(monkeypatch, rep, kernel, n, box, dt, steps):
+    """run_gradual from an aligned start, recording each step's state and
+    neighbor list and every tree build."""
+    import sohb.micro
+
+    p = params(n_particles=n, box=box, dt=dt, kernel=kernel, representation=rep)
+    rng = make_rng(44, n)
+    state = initial_state(p, rng, align_center=sample_uniform_rot(rng), align_d=0.5)
+    seed_state = rng.bit_generator.state
+    steps_seen, builds = [], []
+    step, build_grid = sohb.micro._step_gradual, sohb.micro.build_grid
+    monkeypatch.setattr(sohb.micro, "_step_gradual",
+                        lambda s, *a: steps_seen.append((s, a[3])) or step(s, *a))
+    monkeypatch.setattr(sohb.micro, "build_grid", lambda *a: builds.append(a[0]) or build_grid(*a))
+    out = run_gradual(state, p, rng, t_end=steps * dt)
+    monkeypatch.undo()
+    rng_end = rng.bit_generator.state
+    rng.bit_generator.state = seed_state
+    return p, state, rng, out, rng_end, steps_seen, builds
+
+
+@pytest.mark.parametrize("kernel", ["indicator", "smooth-bump"])
+@pytest.mark.parametrize("rep", [MATRIX, QUATERNION])
+@pytest.mark.parametrize("n, box, dt, steps", VERLET_CASES)
+def test_verlet_list_holds_every_pair(monkeypatch, rep, kernel, n, box, dt, steps):
+    """At every step the candidates include each pair that a fresh periodic
+    tree finds within R, and their distances are those of the current
+    positions. The first two runs rebuild the list at least three times;
+    at dt above half the skin it is rebuilt, without skin, at every step."""
+    from scipy.spatial import cKDTree
+
+    from sohb.alignment import minimum_image
+
+    _, _, _, _, _, steps_seen, builds = _verlet_run(monkeypatch, rep, kernel, n, box, dt, steps)
+    assert len(steps_seen) == steps
+    assert (len(builds) == steps) if dt > 0.05 else (len(builds) >= 3)
+    for state, neighbors in steps_seen:
+        cand = set(zip(np.minimum(neighbors.a, neighbors.b).tolist(),
+                       np.maximum(neighbors.a, neighbors.b).tolist()))
+        found = cKDTree(state.x, boxsize=box).query_pairs(1.0)
+        assert found <= cand
+        sep = minimum_image(state.x[neighbors.a] - state.x[neighbors.b], box)
+        np.testing.assert_array_equal(neighbors.dist, np.sqrt(np.einsum("ij,ij->i", sep, sep)))
+
+
+@pytest.mark.parametrize("kernel", ["indicator", "smooth-bump"])
+@pytest.mark.parametrize("rep", [MATRIX, QUATERNION])
+@pytest.mark.parametrize("n, box, dt, steps", VERLET_CASES)
+def test_run_gradual_equals_step_loop(monkeypatch, rep, kernel, n, box, dt, steps):
+    """The Verlet list changes no bit: run_gradual equals a loop of full-search
+    steps in positions, orientations, fallbacks and the RNG state."""
+    p, state, rng, out, rng_end, _, _ = _verlet_run(monkeypatch, rep, kernel, n, box, dt, steps)
+    for _ in range(steps):
+        state = step_gradual(state, p, rng)
+    np.testing.assert_array_equal(out.x, state.x)
+    np.testing.assert_array_equal(out.orient, state.orient)
+    assert out.degenerate_count == state.degenerate_count
+    np.testing.assert_equal(rng_end, rng.bit_generator.state)
+
+
+def test_run_gradual_rejects_partial_step():
+    """0.1013 is not a whole number of steps of 5e-3; nor is a negative span."""
+    from sohb.errors import SohbError
+
+    p = params(dt=5e-3)
+    state = initial_state(p, make_rng(45, 0))
+    for t_end in (0.1013, -0.1):
+        with pytest.raises(SohbError, match="^dt: "):
+            run_gradual(state, p, make_rng(45, 1), t_end=t_end)
+
+
+def test_run_gradual_frame_times():
+    """Frame k carries t0 + k dt and the final state t_end exactly, where
+    summing 20 steps of 5e-3 gives 0.10000000000000002."""
+    p = params(dt=5e-3)
+    state = initial_state(p, make_rng(45, 2))
+    state.t = 0.3
+    times = []
+    out = run_gradual(state, p, make_rng(45, 3), t_end=0.4, on_frame=lambda s: times.append(s.t))
+    assert times[:-1] == [0.3 + k * 5e-3 for k in range(20)]
+    assert times[-1] == out.t == 0.4
+    zero = initial_state(p, make_rng(45, 2))
+    assert run_gradual(zero, p, make_rng(45, 3), t_end=0.1).t == 0.1
+
+
+@pytest.mark.parametrize("radius", [1e-50, 1e-100])
+def test_gradual_tiny_radius_has_no_fallbacks(radius):
+    """Each body sees only itself, a healthy average at any radius; the
+    determinant test used to overflow to inf > inf and flag all 64."""
+    import warnings
+
+    p = params(n_particles=64, box=4.0, radius=radius)
+    rng = make_rng(46, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = step_gradual(initial_state(p, rng), p, rng)
+    assert out.degenerate_count == 0
+
+
 # --- jump process -------------------------------------------------------------
 
 

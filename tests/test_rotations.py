@@ -153,6 +153,24 @@ def test_polar_floor_is_scale_free(rng):
     assert not polar_rotation_or_mask(np.zeros((3, 3)))[1]
 
 
+def test_polar_floor_has_no_overflow_at_extreme_scales(rng):
+    """det(m) and (|m|_F^2 / 3)^(3/2) overflow near 1e103 and underflow near
+    1e-103; the determinant test must still accept a healthy average there,
+    with the same verdict as at scale 1 and without a RuntimeWarning."""
+    import warnings
+
+    from sohb.micro import sample_vonmises_rot
+
+    healthy = np.mean(sample_vonmises_rot(np.eye(3), 0.5, rng, size=20), axis=0)
+    batch = np.stack([healthy, np.diag([2.0, 0.0, 0.0]), np.diag([1.0, 1.0, -1.0])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1e-300, 1e-150, 1e150, 1e300):
+            rot, ok = polar_rotation_or_mask(c * batch)
+            assert ok.tolist() == [True, False, False]
+            np.testing.assert_allclose(rot[0], polar_rotation(healthy), atol=1e-12)
+
+
 def test_polar_maximizes_mat_dot(rng):
     # the polar factor beats random rotations at mat_dot(., M)
     from sohb.micro import sample_uniform_rot
@@ -201,6 +219,17 @@ def test_retract_stops_on_orthogonal_input(rng):
     np.testing.assert_array_equal(got, r)
     assert not np.shares_memory(got, r)
     assert retract(np.empty((0, 3, 3))).shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_retract_rejects_non_finite_entries(bad):
+    """A NaN or infinite entry raises instead of reaching the SVD, which
+    fails on NaN and never returns on an infinite entry."""
+    from sohb.errors import DomainError
+
+    m = np.stack([np.eye(3), np.diag([bad, 1.0, 1.0])])
+    with pytest.raises(DomainError, match="NaN or infinite"):
+        retract(m)
 
 
 # --- tangent_step -----------------------------------------------------------------
