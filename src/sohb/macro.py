@@ -30,6 +30,9 @@ Each orientation law is written once, as the v of rho dt(orient) + [v] orient
 velocity omega = -v / rho both use it.
 
 Discretization: periodic grids, central differences for all derivatives.
+Column a of Dx is axial of the central difference of Lambda times Lambda^T,
+which equals (w_a(x) + w_a(x - h e_a)) / (2h) with the relative rotation
+w_a = axial(Lambda(x + h e_a) Lambda(x)^T) (``orientation_gradient``).
 Orientation residuals are assembled as [vector]_x Lambda (resp. [vector] q)
 so tangency (resp. orthogonality) holds to round-off. The integrator updates
 rho with a conservative face flux (mass is conserved to round-off) plus
@@ -116,24 +119,36 @@ def grad_scalar(f, spacing):
 def orientation_gradient(lam, spacing):
     """The matrix Dx(Lambda) at every node.
 
-    Column j is axial((d_j Lambda) Lambda^T); the product is antisymmetrized
-    before extracting the axial vector, which removes the symmetric part of
-    the discretization error without changing the continuum object.
+    Column a is axial((d_a Lambda) Lambda^T) with the central difference
+    d_a Lambda = (Lambda_+ - Lambda_-) / (2h), Lambda_+- = Lambda(x +- h e_a).
+    Since (Lambda_+ - Lambda_-) Lambda^T = Lambda_+ Lambda^T
+    - (Lambda Lambda_-^T)^T and the axial vector of a transpose is its
+    negative, the column is (w_a(x) + w_a(x - h e_a)) / (2h) with
+    w_a = axial(Lambda(x + h e_a) Lambda(x)^T), one relative rotation per
+    axis. Only the six off-diagonal entries of that relative rotation are
+    formed, each a three-term sum over the last axes. Along a length-1 axis
+    the relative rotation is the symmetric Lambda Lambda^T and the column is
+    exactly 0.
 
     Args:
         lam: rotation field, shape (nx, ny, nz, 3, 3).
         spacing: grid spacings, shape (3,).
 
     Returns:
-        Dx, shape (nx, ny, nz, 3, 3), with Dx[..., :, j] the column for
-        direction j.
+        Dx, shape (nx, ny, nz, 3, 3), with Dx[..., :, a] the column for
+        direction a.
     """
-    cols = []
+    out = np.empty(lam.shape)
     for a in range(3):
-        dlam = _central(lam, a, spacing[a])
-        m = np.einsum("...ik,...jk->...ij", dlam, lam)
-        cols.append(axial(m))
-    return np.stack(cols, axis=-1)
+        nxt = np.roll(lam, -1, axis=a)
+
+        def rel(i, j):  # entry (i, j) of Lambda(x + h e_a) Lambda(x)^T
+            return np.einsum("...k,...k->...", nxt[..., i, :], lam[..., j, :])
+
+        w = 0.5 * np.stack([rel(2, 1) - rel(1, 2), rel(0, 2) - rel(2, 0),
+                            rel(1, 0) - rel(0, 1)], axis=-1)
+        out[..., :, a] = (w + np.roll(w, 1, axis=a)) / (2.0 * spacing[a])
+    return out
 
 
 def rel_gradient(q, spacing, sign_tol=0.0):
@@ -262,7 +277,7 @@ def _angular_velocity(field, consts):
     with v from :func:`_orientation_vector`.
     """
     rho = field.rho
-    if np.any(rho <= RHO_FLOOR):
+    if not np.all(rho > RHO_FLOOR):  # also catches NaN
         raise DomainError(f"density fell to {rho.min():.3e}; orientation update ill-posed")
     return -_orientation_vector(field, consts) / rho[..., None]
 
@@ -312,8 +327,12 @@ def step_macro(field, consts, dt, viscosity=0.5):
     Raises:
         CflViolation: if dt exceeds the advective or diffusive stability
             bound for the grid.
-        DomainError: if the density loses positivity.
+        DomainError: if dt is not a positive finite number, or if the
+            density is not above the floor (NaN included) or loses
+            positivity.
     """
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise DomainError(f"dt must be a positive finite number, got {dt!r}")
     sp = field.spacing
     h_min = float(np.min(sp))
     speed = max(consts.c1, abs(consts.c2), abs(consts.c2_prime))
@@ -324,7 +343,7 @@ def step_macro(field, consts, dt, viscosity=0.5):
         )
     omega = _angular_velocity(field, consts)
     rho_new = _mass_step(field.rho, field.headings(), consts.c1, dt, sp, viscosity)
-    if np.any(rho_new <= 0.0):
+    if not np.all(rho_new > 0.0):  # also catches NaN
         raise DomainError("density lost positivity; reduce dt or increase viscosity")
 
     angle = np.linalg.norm(omega, axis=-1)

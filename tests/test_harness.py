@@ -428,6 +428,30 @@ def test_cli_macro_summary(tmp_path, capsys):
     assert report["orientation_max_gap"] < 0.1
 
 
+def test_cli_macro_echoes_what_it_ran(tmp_path, capsys):
+    cfg = tmp_path / "macro.json"
+    cfg.write_text(json.dumps({"model": "jump", "d": 0.5, "macro": {
+        "grid": [16, 1, 1], "t_end": 0.011, "dt": 4e-3, "viscosity": 0.25}}))
+    assert main(["macro", "--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["dt"], report["viscosity"], report["d"], report["model"]) == (
+        4e-3, 0.25, 0.5, "jump")
+    for kind in ("matrix", "quaternion"):
+        assert report[f"steps_{kind}"] == 3  # the last step is shortened
+        assert report[f"t_{kind}"] == pytest.approx(0.011)
+
+
+def test_cli_macro_mass_drift_in_a_huge_box(tmp_path, capsys):
+    """The cell volume of a 1e300 box overflows; the drift must not."""
+    cfg = tmp_path / "macro.json"
+    cfg.write_text(json.dumps({"macro": {"grid": [16, 1, 1], "length": 1e300,
+                                         "t_end": 0.05}}))
+    assert main(["macro", "--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mass_drift_matrix"] < 1e-12
+    assert report["mass_drift_quaternion"] < 1e-12
+
+
 def test_cli_reports_domain_errors(tmp_path, capsys):
     cfg = write_config(tmp_path, dt=0.5, model="gradual")  # fine for micro
     # macro with an unstable dt must exit 1 through the error path

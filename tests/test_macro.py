@@ -123,6 +123,40 @@ def test_dx_matches_doubled_rel_gradient():
     assert g128 < 2e-3
 
 
+def twisted_rotations_3d(shape, amp=0.3):
+    """Rotation field qz(a) qx(b) qy(c) with each angle a product of sines in
+    two coordinates, as in the benchmark's 3-D criterion-10 field."""
+    length = 2.0 * np.pi
+    x, y, z = np.meshgrid(*[np.arange(n) * (length / n) for n in shape], indexing="ij")
+    q = None
+    for axis, angle in ((3, amp * np.sin(x + 0.4) * np.cos(y + 1.1)),
+                        (1, amp * np.cos(y + 2.0) * np.sin(z + 0.3)),
+                        (2, amp * np.sin(z + 1.7) * np.cos(x + 0.9))):
+        f = np.zeros(shape + (4,))
+        f[..., 0] = np.cos(0.5 * angle)
+        f[..., axis] = np.sin(0.5 * angle)
+        q = f if q is None else quat_mul(q, f)
+    return quat_to_rot(q), np.full(3, length) / np.array(shape)
+
+
+@pytest.mark.parametrize("shape", [(10, 8, 6), (12, 7, 1), (9, 1, 1)])
+def test_orientation_gradient_matches_two_product_reference(shape):
+    """Dx equals axial((Lambda_+ Lambda^T - Lambda_- Lambda^T) / (2h)) column by
+    column, and a length-1 axis gives a column of exact zeros."""
+    lam, sp = twisted_rotations_3d(shape)
+    dx = orientation_gradient(lam, sp)
+    assert dx.shape == shape + (3, 3)
+    for a in range(3):
+        plus = np.roll(lam, -1, axis=a) @ np.swapaxes(lam, -1, -2)
+        minus = np.roll(lam, 1, axis=a) @ np.swapaxes(lam, -1, -2)
+        ref = axial(plus - minus) / (2.0 * sp[a])
+        if shape[a] == 1:
+            np.testing.assert_array_equal(dx[..., :, a], 0.0)
+        else:
+            assert np.max(np.abs(ref)) > 0.05
+            np.testing.assert_allclose(dx[..., :, a], ref, rtol=0, atol=1e-15)
+
+
 def test_grad_scalar_matches_closed_form():
     n, length = 64, 2.0
     k = 2.0 * np.pi / length
@@ -379,6 +413,24 @@ def test_density_floor_guard():
     f_mat.rho[3] = 0.0
     with pytest.raises(DomainError):
         step_macro(f_mat, CONSTS, dt=1e-3)
+
+
+@pytest.mark.parametrize("kind", [MATRIX, QUATERNION])
+@pytest.mark.parametrize("dt", [np.nan, 0.0, -1e-3, np.inf])
+def test_step_macro_rejects_bad_dt(kind, dt):
+    """A NaN step used to return an all-NaN quaternion field, a zero step
+    to let run_macro loop forever and a negative one to step backwards."""
+    fields = dict(zip((MATRIX, QUATERNION), twisted_initial_data(16, 1.0)))
+    with pytest.raises(DomainError, match="dt"):
+        step_macro(fields[kind], CONSTS, dt=dt)
+
+
+@pytest.mark.parametrize("kind", [MATRIX, QUATERNION])
+def test_density_guard_catches_nan(kind):
+    field = dict(zip((MATRIX, QUATERNION), twisted_initial_data(16, 1.0)))[kind]
+    field.rho[5] = np.nan
+    with pytest.raises(DomainError, match="density"):
+        step_macro(field, CONSTS, dt=1e-3)
 
 
 # --- synthetic data builders --------------------------------------------------

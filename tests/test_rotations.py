@@ -221,6 +221,26 @@ def test_retract_stops_on_orthogonal_input(rng):
     assert retract(np.empty((0, 3, 3))).shape == (0, 3, 3)
 
 
+def test_retract_grid_batch_of_mixed_entries(rng):
+    """A (nx, ny, nz, 3, 3) field mixing exact rotations, near-orthogonal
+    entries and far ones keeps its shape: rotations come back bit-equal and
+    every entry matches its polar factor."""
+    from sohb.micro import sample_uniform_rot
+
+    r = sample_uniform_rot(rng, size=24)
+    m = r.copy()
+    m[8:16] = r[8:16] + project_tangent(r[8:16], 0.05 * rng.standard_normal((8, 3, 3)))
+    m[16:20] = 2.0 * r[16:20]
+    m[20:] = r[20:] @ np.diag([2.0, 2.0, 1.0])
+    perm = rng.permutation(24)
+    field = m[perm].reshape(4, 3, 2, 3, 3)
+    got = retract(field)
+    assert got.shape == (4, 3, 2, 3, 3)
+    np.testing.assert_allclose(got, polar_rotation(field), rtol=0, atol=1e-12)
+    assert_rotation(got.reshape(-1, 3, 3))
+    np.testing.assert_array_equal(got.reshape(24, 3, 3)[perm < 8], m[perm[perm < 8]])
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_retract_rejects_non_finite_entries(bad):
     """A NaN or infinite entry raises instead of reaching the SVD, which
