@@ -296,7 +296,7 @@ def criterion_6():
         for rep_index, rep in enumerate((MATRIX, QUATERNION)):
             params = SimParams(
                 n_particles=n, d=d, box=box, radius=radius,
-                dt=dt, model=GRADUAL, representation=rep, seed=0,
+                dt=dt, model=GRADUAL, representation=rep,
             )
             orient0 = a0.copy() if rep == MATRIX else rot_to_quat(a0)
             state = ParticleState(t=0.0, x=x0.copy(), orient=orient0, kind=rep)
@@ -483,7 +483,7 @@ def criterion_11():
         box = (n_part / density) ** (1.0 / 3.0)
         params = SimParams(
             n_particles=n_part, d=1.0, box=box, radius=radius,
-            dt=2e-3, model=GRADUAL, representation=MATRIX, seed=0,
+            dt=2e-3, model=GRADUAL, representation=MATRIX,
         )
         srng = make_rng(SEED, 110 + n_part)
         state = initial_state(params, srng)

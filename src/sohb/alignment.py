@@ -24,8 +24,6 @@ from scipy.spatial import cKDTree
 
 from .errors import BoxTooSmall, DomainError
 from .rotations import (
-    DELTA_DET,
-    DELTA_GAP,
     max_eigvec,
     max_eigvec_or_mask,
     polar_rotation,
@@ -254,7 +252,7 @@ def _kernel_average(n, positions, box, values, kernel, n_total):
     return np.einsum("m,mab->ab", w, np.asarray(values, dtype=np.float64))
 
 
-def target_rotation(n, positions, box, rotations, kernel, det_floor=DELTA_DET, n_total=None):
+def target_rotation(n, positions, box, rotations, kernel, n_total=None):
     """Target orientation of particle ``n`` via the polar-rotation route.
 
     Averages over the given rows, with no neighbor tree involved. Given every
@@ -264,26 +262,26 @@ def target_rotation(n, positions, box, rotations, kernel, det_floor=DELTA_DET, n
     as ``n_total``, the N of the 1/N in Jbar.
 
     Raises:
-        DegenerateAverage: when det(Jbar_n) <= det_floor * (|Jbar_n|_F^2 / 3)^(3/2);
+        DegenerateAverage: when det(Jbar_n) <= DELTA_DET * (|Jbar_n|_F^2 / 3)^(3/2);
             the caller decides the fallback policy.
     """
-    return polar_rotation(_kernel_average(n, positions, box, rotations, kernel, n_total), det_floor)
+    return polar_rotation(_kernel_average(n, positions, box, rotations, kernel, n_total))
 
 
-def target_quaternion(n, positions, box, quats, kernel, gap_floor=DELTA_GAP, n_total=None):
+def target_quaternion(n, positions, box, quats, kernel, n_total=None):
     """Target orientation of particle ``n`` via the leading-eigenvector route.
 
     Same rows and ``n_total`` contract as :func:`target_rotation`.
 
     Raises:
         DegenerateAverage: when the top eigenvalue gap of Qbar_n is
-            <= gap_floor.
+            <= DELTA_GAP.
     """
     qbar = _kernel_average(n, positions, box, qtensor(quats), kernel, n_total)
-    return max_eigvec(qbar, gap_floor)
+    return max_eigvec(qbar)
 
 
-def target_rotations_all(neighbors, kernel, rotations, det_floor=DELTA_DET):
+def target_rotations_all(neighbors, kernel, rotations):
     """Targets for every particle at once (matrix route).
 
     Returns:
@@ -292,10 +290,10 @@ def target_rotations_all(neighbors, kernel, rotations, det_floor=DELTA_DET):
         the caller must replace per its fallback policy.
     """
     jbar = average_rotation_matrix(neighbors, kernel, rotations)
-    return polar_rotation_or_mask(jbar, det_floor)
+    return polar_rotation_or_mask(jbar)
 
 
-def target_quaternions_all(neighbors, kernel, quats, gap_floor=DELTA_GAP):
+def target_quaternions_all(neighbors, kernel, quats):
     """Targets for every particle at once (quaternion route); see above."""
     qbar = average_qtensor(neighbors, kernel, quats)
-    return max_eigvec_or_mask(qbar, gap_floor)
+    return max_eigvec_or_mask(qbar)

@@ -21,7 +21,7 @@ from . import __version__
 from .config import load_config, sim_params_from_config, validate_data
 from .errors import DegenerateAverage, DomainError, SchemaError, SohbError, TooFewSamples
 from .estimators import order_parameter
-from .frames import FrameWriter
+from .frames import FrameWriter, _format_frame
 from .gci import constants as gci_constants
 from .gci import get_profile, verify_adjoint_jump
 from .macro import run_macro, twisted_initial_data
@@ -149,21 +149,12 @@ def cmd_single(args):
         orients = result
     else:
         _, orients = run_single_in_field(n_jumps=args.n_jumps, **kwargs)
-    flat = orients.reshape(orients.shape[0], -1)
-    kind = "mat" if args.representation == "matrix" else "quat"
-    lines = [
-        json.dumps(
-            {"t": 0.0, "id": i, "x": [0.0, 0.0, 0.0],
-             "orient": {"kind": kind, "v": list(row)}},
-            separators=(",", ":"),
-        )
-        for i, row in enumerate(flat)
-    ]
-    text = "\n".join(lines) + "\n"
+    m = orients.shape[0]
+    text = _format_frame(0.0, np.zeros((m, 3)), orients, args.representation)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        _print_json({"samples": len(lines), "out": args.out})
+        _print_json({"samples": m, "out": args.out})
     else:
         sys.stdout.write(text)
     return 0

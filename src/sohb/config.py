@@ -6,6 +6,7 @@ the offending field by its dotted path.
 """
 
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -54,9 +55,25 @@ def _error_path(err):
     return ".".join(str(p) for p in err.absolute_path)
 
 
+def _is_finite_number(checker, instance):
+    """A finite number: Python's json also reads NaN and Infinity."""
+    finite = not isinstance(instance, float) or math.isfinite(instance)
+    return finite and jsonschema.Draft202012Validator.TYPE_CHECKER.is_type(instance, "number")
+
+
+#: Draft 2020-12 with finite numbers only.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine("number", _is_finite_number),
+)
+
+
 def validate_data(data):
-    """All schema violations as "path: message" strings (empty if valid)."""
-    validator = jsonschema.Draft202012Validator(schema())
+    """All schema violations as "path: message" strings (empty if valid).
+
+    A ``number`` must be finite: NaN and infinities fail its type.
+    """
+    validator = _Validator(schema())
     errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
     return [f"{_error_path(e) or '<root>'}: {e.message}" for e in errors]
 
@@ -107,5 +124,4 @@ def sim_params_from_config(cfg):
         dt=cfg["dt"],
         model=cfg["model"],
         representation=cfg["representation"],
-        seed=cfg["seed"],
     )

@@ -8,10 +8,11 @@ class SohbError(Exception):
 class DegenerateAverage(SohbError):
     """The averaged orientation is too degenerate to define a target.
 
-    Raised when a matrix average m has det(m) <= det_floor * (|m|_F^2 / 3)^(3/2)
+    Raised when a matrix average m has det(m) <= DELTA_DET * (|m|_F^2 / 3)^(3/2)
     (no well-defined polar rotation; the floor is relative, so it does not
     depend on how the average is normalized) or a Q-tensor average has an
-    eigenvalue gap <= gap_floor (no unique leading eigenvector).
+    eigenvalue gap <= DELTA_GAP (no unique leading eigenvector), both
+    constants of ``rotations``.
     """
 
 

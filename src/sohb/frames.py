@@ -33,23 +33,8 @@ class FrameWriter:
                 mh.write("\n")
 
     def write_state(self, state):
-        """Write one frame from a micro ParticleState.
-
-        One %-template formats every record: ``%r`` of a float is the
-        shortest round-trip repr that ``json.dumps`` writes, and the
-        non-finite spellings are then rewritten to json's (NaN, Infinity).
-        """
-        kind = ORIENT_KINDS[state.kind]
-        values = np.concatenate([state.x, state.orient.reshape(state.n, -1)], axis=1)
-        template = (
-            '{"t":' + json.dumps(state.t) + ',"id":%d,"x":[%r,%r,%r],'
-            '"orient":{"kind":"' + kind + '","v":['
-            + ",".join(["%r"] * (values.shape[1] - 3)) + "]}}\n"
-        )
-        text = "".join([template % (i, *row) for i, row in enumerate(values.tolist())])
-        if not np.all(np.isfinite(values)):
-            text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        self._fh.write(text)
+        """Write one frame from a micro ParticleState."""
+        self._fh.write(_format_frame(state.t, state.x, state.orient, state.kind))
         self._fh.flush()
 
     def close(self):
@@ -60,6 +45,25 @@ class FrameWriter:
 
     def __exit__(self, *exc):
         self.close()
+
+
+def _format_frame(t, x, orient, kind):
+    """One frame's records, each the bytes ``json.dumps`` writes for it.
+
+    One %-template formats every record: ``%r`` of a float is the shortest
+    round-trip repr that ``json.dumps`` writes, and the non-finite spellings
+    are then rewritten to json's (NaN, Infinity).
+    """
+    values = np.concatenate([x, orient.reshape(x.shape[0], -1)], axis=1)
+    template = (
+        '{"t":' + json.dumps(t) + ',"id":%d,"x":[%r,%r,%r],'
+        '"orient":{"kind":"' + ORIENT_KINDS[kind] + '","v":['
+        + ",".join(["%r"] * (values.shape[1] - 3)) + "]}}\n"
+    )
+    text = "".join([template % (i, *row) for i, row in enumerate(values.tolist())])
+    if not np.all(np.isfinite(values)):
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
 
 
 def iter_records(path):

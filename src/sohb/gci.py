@@ -133,7 +133,7 @@ def _check_grid(n=2048, margin=1e-4):
     return nodes * (1.0 - margin)
 
 
-def solve_h(d, tol=H_TOL, ladder=LADDER):
+def solve_h(d, ladder=LADDER):
     """Solve the radial ODE for the gradual-model profile h.
 
     Strategy: collocate the divided form at Chebyshev-Lobatto points on
@@ -141,26 +141,25 @@ def solve_h(d, tol=H_TOL, ladder=LADDER):
     where the leading coefficient vanishes, supplies the natural boundary
     condition) over the odd basis T_1, T_3, ..., solve in the least-squares
     sense, and accept once the weighted-form residual on a 2048-point check
-    grid is below tolerance, walking a mode ladder otherwise.
+    grid is below ``H_TOL``, walking a mode ladder otherwise.
 
     Args:
         d: noise intensity D > 0 (the equation parameter).
-        tol: residual tolerance (max norm, weighted form).
         ladder: increasing mode counts to try.
 
     Returns:
         GciProfile for the gradual model.
 
     Raises:
-        NoConvergence: if the largest ladder entry still misses ``tol``.
+        NoConvergence: if the largest ladder entry still misses ``H_TOL``.
     """
     if d <= 0.0:
         raise ValueError(f"noise intensity must be positive, got {d}")
     check = _check_grid()
     # Walk the ladder until the residual is comfortably converged (well past
-    # tol), not merely under it — spectral accuracy is cheap here and a wide
+    # H_TOL), not merely under it — spectral accuracy is cheap here and a wide
     # margin keeps downstream constants insensitive to the mode count.
-    early = min(tol * 1e-3, 1e-9)
+    early = min(H_TOL * 1e-3, 1e-9)
     best = None
     for n_modes in ladder:
         npts = 2 * n_modes + 8
@@ -176,9 +175,9 @@ def solve_h(d, tol=H_TOL, ladder=LADDER):
         if res <= early:
             break
     coeffs, res = best
-    if res > tol:
+    if res > H_TOL:
         raise NoConvergence(
-            f"h solve residual {res:.3e} > {tol:.1e} after ladder {ladder}"
+            f"h solve residual {res:.3e} > H_TOL = {H_TOL:.1e} after ladder {ladder}"
         )
     return GciProfile(model=GRADUAL, d=float(d), coeffs=coeffs, residual=res)
 
@@ -284,12 +283,13 @@ def constants(d, model, method="simpson", profile=None):
     )
 
 
-def vonmises_class_average(fn, center, d, n_theta=64, n_mu=16, n_phi=32):
+def vonmises_class_average(fn, center, d):
     """Integral of fn(A) against the von Mises law at ``center`` by quadrature.
 
-    Decomposes A = center @ R(axis, theta): Gauss-Legendre nodes in theta
+    Decomposes A = center @ R(axis, theta): 64 Gauss-Legendre nodes in theta
     weighted by the normalized angle marginal, and a product sphere rule
-    (Gauss-Legendre in cos(polar), trapezoid in azimuth) for the axis.
+    (16 Gauss-Legendre nodes in cos(polar), 32 trapezoid nodes in azimuth)
+    for the axis.
 
     Args:
         fn: vectorized map from rotation stacks (..., 3, 3) to scalars (...,).
@@ -299,6 +299,7 @@ def vonmises_class_average(fn, center, d, n_theta=64, n_mu=16, n_phi=32):
     Returns:
         The quadrature value of integral fn dM.
     """
+    n_theta, n_mu, n_phi = 64, 16, 32
     center = np.asarray(center, dtype=np.float64)
     t_nodes, t_weights = np.polynomial.legendre.leggauss(n_theta)
     theta = 0.5 * np.pi * (t_nodes + 1.0)
@@ -323,7 +324,7 @@ def vonmises_class_average(fn, center, d, n_theta=64, n_mu=16, n_phi=32):
     return total
 
 
-def verify_adjoint_jump(center, p_axial, d, **quad_sizes):
+def verify_adjoint_jump(center, p_axial, d):
     """Residual of the jump-model invariant equation for psi(A) = P . (L0^T A).
 
     For the jump mechanism the adjoint acts as psi -> integral(psi M) - psi,
@@ -347,4 +348,4 @@ def verify_adjoint_jump(center, p_axial, d, **quad_sizes):
     def psi(rots):
         return mat_dot(p, center.T @ rots)
 
-    return abs(vonmises_class_average(psi, center, d, **quad_sizes))
+    return abs(vonmises_class_average(psi, center, d))

@@ -151,13 +151,12 @@ def orientation_gradient(lam, spacing):
     return out
 
 
-def rel_gradient(q, spacing, sign_tol=0.0):
+def rel_gradient(q, spacing):
     """Relative derivatives d_{j,rel} q = (d_j q) q* of a quaternion field.
 
     Args:
         q: unit quaternion field, shape (nx, ny, nz, 4), sign-continuous.
         spacing: grid spacings, shape (3,).
-        sign_tol: neighbor products q . q_next below this raise.
 
     Returns:
         rel, shape (nx, ny, nz, 3, 4) indexed [direction, component]. The
@@ -165,15 +164,15 @@ def rel_gradient(q, spacing, sign_tol=0.0):
         use rel[..., 1:] for the imaginary 3-vector.
 
     Raises:
-        SignDiscontinuity: if the lift flips sign between grid neighbors,
-            which would corrupt the finite differences.
+        SignDiscontinuity: if a neighbor product q . q_next is <= 0: the lift
+            flips sign there, which would corrupt the finite differences.
     """
     q = np.asarray(q, dtype=np.float64)
     qc = quat_conj(q)
     out = []
     for a in range(3):
         dots = np.sum(q * np.roll(q, -1, axis=a), axis=-1)
-        if np.any(dots <= sign_tol):
+        if np.any(dots <= 0.0):
             raise SignDiscontinuity(
                 f"quaternion field flips sign along axis {a}: "
                 f"min neighbor product {dots.min():.3e}"
@@ -327,12 +326,14 @@ def step_macro(field, consts, dt, viscosity=0.5):
     Raises:
         CflViolation: if dt exceeds the advective or diffusive stability
             bound for the grid.
-        DomainError: if dt is not a positive finite number, or if the
-            density is not above the floor (NaN included) or loses
-            positivity.
+        DomainError: if dt is not a positive finite number, viscosity is
+            not a finite number >= 0, or the density is not above the floor
+            (NaN included) or loses positivity.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise DomainError(f"dt must be a positive finite number, got {dt!r}")
+    if not (np.isfinite(viscosity) and viscosity >= 0.0):
+        raise DomainError(f"viscosity must be a finite number >= 0, got {viscosity!r}")
     sp = field.spacing
     h_min = float(np.min(sp))
     speed = max(consts.c1, abs(consts.c2), abs(consts.c2_prime))

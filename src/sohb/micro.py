@@ -72,7 +72,6 @@ class SimParams:
         dt: time step (gradual model only).
         model: "gradual" or "jump".
         representation: "matrix" or "quaternion".
-        seed: master RNG seed recorded with runs.
     """
 
     n_particles: int = 128
@@ -83,7 +82,6 @@ class SimParams:
     dt: float = 2e-3
     model: str = GRADUAL
     representation: str = MATRIX
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -113,7 +111,6 @@ class ParticleState:
         x: positions, shape (N, 3), wrapped into the box.
         orient: (N, 3, 3) rotations or (N, 4) unit quaternions, per ``kind``.
         kind: "matrix" or "quaternion".
-        next_jump: next event time per particle (jump model only).
         degenerate_count: number of degenerate-target fallbacks so far.
     """
 
@@ -121,7 +118,6 @@ class ParticleState:
     x: np.ndarray
     orient: np.ndarray
     kind: str
-    next_jump: np.ndarray | None = None
     degenerate_count: int = 0
 
     @property
@@ -147,10 +143,7 @@ def initial_state(params, rng, align_center=None, align_d=None):
         orient = form.uniform(rng, size=n)
     else:
         orient = form.vonmises(form.lift(align_center), align_d, rng, size=n)
-    state = ParticleState(t=0.0, x=x, orient=orient, kind=params.representation)
-    if params.model == JUMP:
-        state.next_jump = rng.exponential(1.0, size=n)
-    return state
+    return ParticleState(t=0.0, x=x, orient=orient, kind=params.representation)
 
 
 def _increment_matrix(a, target, d, dt, rng):
@@ -206,9 +199,12 @@ def gradual_steps(t, t_end, dt):
     """Number of whole steps of ``dt`` from ``t`` to ``t_end``.
 
     Raises:
-        DomainError: naming ``dt`` when (t_end - t) / dt is not a whole
-            number within 1e-9 relative (or is negative).
+        DomainError: naming ``t_end`` when it is not finite, and ``dt`` when
+            (t_end - t) / dt is not a whole number within 1e-9 relative (or
+            is negative).
     """
+    if not np.isfinite(t_end):
+        raise DomainError(f"t_end: {t_end!r} is not finite")
     steps = (t_end - t) / dt
     if not abs(steps - np.rint(steps)) <= 1e-9 * steps:
         raise DomainError(f"dt: (t_end - t) / dt = {steps!r} is not a whole number of steps")
@@ -310,8 +306,9 @@ _TREE_SKIN = 0.5
 def run_jump(state, params, rng, t_end, on_event=None):
     """Event-driven loop of the jump process until t_end.
 
-    Maintains a binary min-heap of next-jump times that holds exactly one
-    entry per particle (ties broken by particle index). Positions are lazy:
+    Draws an exponential(1) clock per particle at ``state.t`` (memoryless,
+    so a resumed run keeps its law) and keeps them in a binary min-heap that
+    holds one entry per particle (ties broken by index). Positions are lazy:
     particle i keeps an anchor (x_i, t_i) and is at wrap(x_i + (t - t_i) e1_i)
     at time t, so an event moves only the jumping particle's anchor, to its
     position at the event.
@@ -325,6 +322,7 @@ def run_jump(state, params, rng, t_end, on_event=None):
     particle to every event and averaging over all of them.
 
     Raises:
+        DomainError: naming ``t_end`` unless it is finite and >= state.t.
         BoxTooSmall: if a box edge is shorter than 2R, even when no event
             fires before t_end.
 
@@ -332,24 +330,23 @@ def run_jump(state, params, rng, t_end, on_event=None):
         (state, events): final state at t_end and the full event log as a
         list of (time, particle_index) tuples.
     """
+    if not (np.isfinite(t_end) and t_end >= state.t):
+        raise DomainError(f"t_end: {t_end!r} is not a finite time >= t = {state.t!r}")
     box = params.box_array()
     radius = params.radius
     grid = build_grid(state.x, box, radius)
-    if state.next_jump is None:
-        state = replace(state, next_jump=state.t + rng.exponential(1.0, size=state.n))
     n_total = state.n
+    heap = list(zip((state.t + rng.exponential(1.0, size=n_total)).tolist(), range(n_total)))
+    heapq.heapify(heap)
     anchor_x = state.x.copy()  # moved in place; the tree holds its own wrapped copy
     anchor_t = np.full(n_total, float(state.t))
     t_b = state.t
     orient = state.orient.copy()
     form = _form(state.kind)
     head = form.heading(orient)  # a view for matrices
-    next_jump = state.next_jump.copy()
     fallbacks = state.degenerate_count
     kernel = params.kernel_config()
     table = get_angle_table(params.d)
-    heap = [(float(next_jump[i]), i) for i in range(n_total)]
-    heapq.heapify(heap)
     events = []
 
     while heap and heap[0][0] <= t_end:
@@ -374,21 +371,10 @@ def run_jump(state, params, rng, t_end, on_event=None):
         events.append((t, n))
         if on_event is not None:
             on_event(t, n, orient[n])
-        next_jump[n] = t + rng.exponential(1.0)
-        heapq.heappush(heap, (float(next_jump[n]), n))
+        heapq.heappush(heap, (t + rng.exponential(1.0), n))
 
     x = wrap_positions(anchor_x + (t_end - anchor_t)[:, None] * head, box)
-    return (
-        replace(
-            state,
-            t=t_end,
-            x=x,
-            orient=orient,
-            next_jump=next_jump,
-            degenerate_count=fallbacks,
-        ),
-        events,
-    )
+    return replace(state, t=t_end, x=x, orient=orient, degenerate_count=fallbacks), events
 
 
 def run_single_in_field(

@@ -5,28 +5,32 @@ and a fixed-order Gauss-Legendre rule. Quantities that feed the macroscopic
 constants are computed with both and cross-checked in the test suite.
 """
 
+from functools import cache
+
 import numpy as np
+
+#: Relative tolerance of the adaptive rule on the whole integral.
+_REL_TOL = 1e-11
 
 #: Absolute error floor: intervals whose contribution is below this are accepted.
 ABS_FLOOR = 1e-14
 
+#: Depth at which an interval is accepted as-is (no runaway recursion on kinks).
+_MAX_DEPTH = 48
 
-def adaptive_simpson(f, a, b, rel_tol=1e-10, abs_floor=ABS_FLOOR, max_depth=48):
+
+def adaptive_simpson(f, a, b):
     """Adaptive Simpson integration of ``f`` on [a, b].
 
     The classic halving scheme with Richardson correction: an interval is
     accepted when |S_fine - S_coarse| / 15 is below the local tolerance,
-    where the local tolerance is the relative target scaled to the interval
-    and floored at ``abs_floor``.
+    where the local tolerance is ``_REL_TOL`` scaled to the interval and
+    floored at ``ABS_FLOOR``, or once it is ``_MAX_DEPTH`` halvings deep.
 
     Args:
         f: scalar function (numpy-evaluable).
         a: lower limit.
         b: upper limit.
-        rel_tol: relative tolerance on the whole integral.
-        abs_floor: absolute floor for the per-interval tolerance.
-        max_depth: maximal bisection depth before an interval is accepted
-            as-is (prevents runaway recursion on kinks).
 
     Returns:
         Approximation of the integral.
@@ -42,7 +46,7 @@ def adaptive_simpson(f, a, b, rel_tol=1e-10, abs_floor=ABS_FLOOR, max_depth=48):
     fm = float(f(m))
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     # Prime the global scale with a coarse estimate; refined below.
-    scale = max(abs(whole), abs_floor)
+    scale = max(abs(whole), ABS_FLOOR)
 
     def recurse(x0, x2, f0, f1, f2, s, depth):
         x1 = 0.5 * (x0 + x2)
@@ -53,8 +57,8 @@ def adaptive_simpson(f, a, b, rel_tol=1e-10, abs_floor=ABS_FLOOR, max_depth=48):
         left = (x1 - x0) / 6.0 * (f0 + 4.0 * flm + f1)
         right = (x2 - x1) / 6.0 * (f1 + 4.0 * frm + f2)
         err = (left + right - s) / 15.0
-        tol = max(rel_tol * scale * (x2 - x0) / (b - a), abs_floor)
-        if abs(err) <= tol or depth >= max_depth:
+        tol = max(_REL_TOL * scale * (x2 - x0) / (b - a), ABS_FLOOR)
+        if abs(err) <= tol or depth >= _MAX_DEPTH:
             return left + right + err
         return recurse(x0, x1, f0, flm, f1, left, depth + 1) + recurse(
             x1, x2, f1, frm, f2, right, depth + 1
@@ -63,19 +67,19 @@ def adaptive_simpson(f, a, b, rel_tol=1e-10, abs_floor=ABS_FLOOR, max_depth=48):
     return recurse(a, b, fa, fm, fb, whole, 0)
 
 
-_GL_CACHE = {}
+@cache
+def _gl_rule():
+    return np.polynomial.legendre.leggauss(512)
 
 
-def gauss_legendre(f, a, b, n=512):
-    """Fixed-order Gauss-Legendre integration of ``f`` on [a, b].
+def gauss_legendre(f, a, b):
+    """512-node Gauss-Legendre integration of ``f`` on [a, b].
 
     ``f`` must accept a numpy array of nodes. Spectrally accurate for
     analytic integrands; used as the independent cross-check of
     :func:`adaptive_simpson`.
     """
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    x, w = _GL_CACHE[n]
+    x, w = _gl_rule()
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     return half * float(np.sum(w * np.asarray(f(mid + half * x), dtype=np.float64)))

@@ -118,7 +118,7 @@ def _polar_svd(m):
     return u @ vt
 
 
-def polar_rotation(m, det_floor=DELTA_DET):
+def polar_rotation(m):
     """Rotation factor of the polar decomposition m = R S (S symmetric).
 
     For det(m) > 0 this is the unique maximizer of R |-> mat_dot(R, m)
@@ -126,27 +126,25 @@ def polar_rotation(m, det_floor=DELTA_DET):
 
     Args:
         m: matrix or batch of matrices, shape (..., 3, 3).
-        det_floor: relative determinant threshold (see ``DELTA_DET``) below
-            which the average is treated as degenerate.
 
     Raises:
-        DegenerateAverage: if any det(m) <= det_floor * (|m|_F^2 / 3)^(3/2).
+        DegenerateAverage: if any det(m) <= DELTA_DET * (|m|_F^2 / 3)^(3/2).
     """
-    rot, ok = polar_rotation_or_mask(m, det_floor)
+    rot, ok = polar_rotation_or_mask(m)
     if not ok.all():
         raise DegenerateAverage(
-            f"polar rotation undefined: det(m) <= {det_floor:.1e} * (|m|_F^2 / 3)^(3/2)"
+            "polar rotation undefined: det(m) <= DELTA_DET * (|m|_F^2 / 3)^(3/2)"
         )
     return rot
 
 
-def polar_rotation_or_mask(m, det_floor=DELTA_DET):
+def polar_rotation_or_mask(m):
     """Batch polar rotation that flags degenerate entries instead of raising.
 
     Returns:
         (rotations, ok): ``rotations`` has the closest rotation for every
         entry where ``ok`` and the identity elsewhere; ``ok`` is True where
-        det(m) > det_floor * (|m|_F^2 / 3)^(3/2), which holds only for
+        det(m) > DELTA_DET * (|m|_F^2 / 3)^(3/2), which holds only for
         finite entries. Only those reach the SVD, which can fail on NaN
         and does not return on an infinite entry. The test runs on m scaled
         by a power of two to a largest |entry| in [1/2, 1), which is exact,
@@ -156,7 +154,7 @@ def polar_rotation_or_mask(m, det_floor=DELTA_DET):
     m = np.asarray(m, dtype=np.float64)
     _, e = np.frexp(np.abs(m).max(axis=(-1, -2), initial=0.0))
     s = np.ldexp(m, -e[..., None, None])
-    ok = np.linalg.det(s) > det_floor * (np.sum(s * s, axis=(-1, -2)) / 3.0) ** 1.5
+    ok = np.linalg.det(s) > DELTA_DET * (np.sum(s * s, axis=(-1, -2)) / 3.0) ** 1.5
     if not ok.all():
         m = np.where(ok[..., None, None], m, np.eye(3))
     return _polar_svd(m), ok
@@ -369,7 +367,7 @@ def qtensor(q):
     return q[..., :, None] * q[..., None, :] - 0.25 * np.eye(4)
 
 
-def max_eigvec(qt, gap_floor=DELTA_GAP):
+def max_eigvec(qt):
     """Unit eigenvector of the maximal eigenvalue of a symmetric 4x4 matrix.
 
     The sign is canonicalized: the first component exceeding 1e-12 in
@@ -378,30 +376,29 @@ def max_eigvec(qt, gap_floor=DELTA_GAP):
 
     Args:
         qt: symmetric matrices, shape (..., 4, 4).
-        gap_floor: minimal gap between the two largest eigenvalues.
 
     Raises:
-        DegenerateAverage: if the maximal eigenvalue is (nearly) multiple.
+        DegenerateAverage: if the top two eigenvalues are within DELTA_GAP.
     """
-    q, ok = max_eigvec_or_mask(qt, gap_floor)
+    q, ok = max_eigvec_or_mask(qt)
     if not ok.all():
-        raise DegenerateAverage(f"leading eigenvalue not simple: gap <= {gap_floor:.1e}")
+        raise DegenerateAverage("leading eigenvalue not simple: gap <= DELTA_GAP")
     return q
 
 
-def max_eigvec_or_mask(qt, gap_floor=DELTA_GAP):
+def max_eigvec_or_mask(qt):
     """Batch variant of :func:`max_eigvec` flagging degenerate entries."""
     qt = np.asarray(qt, dtype=np.float64)
     vals, vecs = np.linalg.eigh(qt)
-    ok = (vals[..., 3] - vals[..., 2]) > gap_floor
+    ok = (vals[..., 3] - vals[..., 2]) > DELTA_GAP
     return _canonical_sign(vecs[..., :, 3]), ok
 
 
-def _canonical_sign(q, tol=1e-12):
-    """Flip signs so the first component with |value| > tol is positive."""
+def _canonical_sign(q):
+    """Flip signs so the first component with |value| > 1e-12 is positive."""
     q = np.asarray(q, dtype=np.float64)
     flat = q.reshape((-1, 4))
-    big = np.abs(flat) > tol
+    big = np.abs(flat) > 1e-12
     first = np.where(big.any(axis=-1), big.argmax(axis=-1), 0)
     lead = flat[np.arange(flat.shape[0]), first]
     out = flat * np.where(lead < 0.0, -1.0, 1.0)[:, None]

@@ -19,6 +19,7 @@ both preimages of each rotation are produced.
 
 import numpy as np
 
+from .errors import DomainError
 from .quadrature import adaptive_simpson, gauss_legendre
 from .rotations import quat_from_axis_angle, quat_mul, rotation_from_axis_angle
 
@@ -57,6 +58,22 @@ def _angle_density_shifted(theta, d):
     return np.exp((np.cos(theta) - 1.0) / d) * np.square(np.sin(0.5 * theta))
 
 
+def reference_angle_cdf(theta, d):
+    """CDF of the rotation angle under the continuous-time stationary law.
+
+    Trapezoid integration of the (shifted, overflow-safe) angle density on
+    the given increasing grid from 0, normalized to 1 at its last point.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim != 1 or theta.size < 2:
+        raise DomainError("reference_angle_cdf needs a 1-d grid of >= 2 points")
+    pdf = _angle_density_shifted(theta, d)
+    cdf = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(theta))]
+    )
+    return cdf / cdf[-1]
+
+
 class AngleTable:
     """Tabulated inverse CDF of the angle marginal for one noise level D.
 
@@ -69,7 +86,7 @@ class AngleTable:
             cdf[-1] = 1, nondecreasing).
     """
 
-    def __init__(self, d, size=TABLE_SIZE):
+    def __init__(self, d):
         if d <= 0.0:
             raise ValueError(f"noise intensity must be positive, got {d}")
         self.d = float(d)
@@ -79,11 +96,8 @@ class AngleTable:
             theta_max = min(np.pi, 40.0 * np.sqrt(d))
         else:
             theta_max = np.pi
-        self.theta = np.linspace(0.0, theta_max, size + 1)
-        dens = _angle_density_shifted(self.theta, self.d)
-        inc = 0.5 * (dens[1:] + dens[:-1]) * np.diff(self.theta)
-        cdf = np.concatenate([[0.0], np.cumsum(inc)])
-        self.cdf = cdf / cdf[-1]
+        self.theta = np.linspace(0.0, theta_max, TABLE_SIZE + 1)
+        self.cdf = reference_angle_cdf(self.theta, self.d)
 
     def sample(self, rng, size):
         """Draw angles by linear-interpolated inverse-CDF lookup (one uniform each)."""
@@ -209,8 +223,8 @@ def _angle_moment(g, weight, d, method):
     a, b = 0.0, min(np.pi / s, 40.0)
     if method == "simpson":
         return (
-            adaptive_simpson(num, a, b, rel_tol=1e-11),
-            adaptive_simpson(den, a, b, rel_tol=1e-11),
+            adaptive_simpson(num, a, b),
+            adaptive_simpson(den, a, b),
         )
     if method == "gauss":
         return gauss_legendre(num, a, b), gauss_legendre(den, a, b)

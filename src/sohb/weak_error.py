@@ -39,7 +39,7 @@ from numpy.polynomial.laguerre import laggauss
 from scipy.linalg import solve
 
 from .errors import DomainError
-from .sampling import _angle_density_shifted
+from .sampling import reference_angle_cdf
 
 #: Default angle-grid resolution; kernel error from linear binning scales
 #: like (pi/n_grid)^2/dt relative to the physical angular diffusion, so the
@@ -47,22 +47,6 @@ from .sampling import _angle_density_shifted
 N_GRID = 2001
 
 _CHUNK = 64
-
-
-def reference_angle_cdf(theta, d):
-    """CDF of the rotation angle under the continuous-time stationary law.
-
-    Trapezoid integration of the (shifted, overflow-safe) angle density on
-    the given increasing grid over [0, pi].
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 1 or theta.size < 2:
-        raise DomainError("reference_angle_cdf needs a 1-d grid of >= 2 points")
-    pdf = _angle_density_shifted(theta, d)
-    cdf = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(theta))]
-    )
-    return cdf / cdf[-1]
 
 
 def angle_step(theta, u, rho):

@@ -61,6 +61,24 @@ def test_bad_types_listed_by_validate():
     assert any(p.startswith("n:") for p in problems)
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"model": "jump", "t_end": NaN}', "t_end"),
+    ('{"t_end": Infinity}', "t_end"),
+    ('{"d": NaN}', "d"),
+    ('{"macro": {"viscosity": Infinity}}', "macro.viscosity"),
+])
+def test_non_finite_numbers_name_the_field(tmp_path, text, field):
+    """Python's json reads NaN and Infinity, and both pass ``minimum``."""
+    problems = validate_data(json.loads(text))
+    assert len(problems) == 1
+    assert problems[0].startswith(f"{field}: ") and "is not of type 'number'" in problems[0]
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as exc:
+        load_config(str(path))
+    assert exc.value.path == field
+
+
 def test_unparseable_file_raises(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -426,6 +426,16 @@ def test_step_macro_rejects_bad_dt(kind, dt):
 
 
 @pytest.mark.parametrize("kind", [MATRIX, QUATERNION])
+@pytest.mark.parametrize("viscosity", [-0.5, np.nan, np.inf])
+def test_step_macro_rejects_bad_viscosity(kind, viscosity):
+    """-0.5 used to run anti-diffusively without a word and NaN to fail
+    as lost positivity."""
+    fields = dict(zip((MATRIX, QUATERNION), twisted_initial_data(16, 1.0)))
+    with pytest.raises(DomainError, match="^viscosity"):
+        step_macro(fields[kind], CONSTS, dt=1e-3, viscosity=viscosity)
+
+
+@pytest.mark.parametrize("kind", [MATRIX, QUATERNION])
 def test_density_guard_catches_nan(kind):
     field = dict(zip((MATRIX, QUATERNION), twisted_initial_data(16, 1.0)))[kind]
     field.rho[5] = np.nan

@@ -189,6 +189,20 @@ def test_runs_deterministic():
     np.testing.assert_array_equal(a.x, b.x)
 
 
+@pytest.mark.parametrize("rep", [MATRIX, QUATERNION])
+def test_initial_state_does_not_depend_on_the_model(rep):
+    """The jump clocks belong to run_jump: both models draw the same state
+    and leave the generator in the same state."""
+    states, rng_states = [], []
+    for model in (GRADUAL, JUMP):
+        rng = make_rng(41, 5)
+        states.append(initial_state(params(model=model, representation=rep), rng))
+        rng_states.append(rng.bit_generator.state)
+    np.testing.assert_array_equal(states[0].x, states[1].x)
+    np.testing.assert_array_equal(states[0].orient, states[1].orient)
+    np.testing.assert_equal(rng_states[0], rng_states[1])
+
+
 # --- gradual: Verlet list and horizons -------------------------------------------
 
 VERLET_CASES = [
@@ -267,6 +281,22 @@ def test_run_gradual_rejects_partial_step():
     for t_end in (0.1013, -0.1):
         with pytest.raises(SohbError, match="^dt: "):
             run_gradual(state, p, make_rng(45, 1), t_end=t_end)
+
+
+@pytest.mark.parametrize("model, t_end", [
+    (GRADUAL, np.nan), (GRADUAL, np.inf), (JUMP, np.nan), (JUMP, 0.2),
+])
+def test_horizon_errors_name_t_end(model, t_end):
+    """A non-finite horizon names t_end, not dt; a jump run refuses one
+    before state.t, where it used to move the bodies backwards."""
+    from sohb.errors import DomainError
+
+    p = params(model=model)
+    state = initial_state(p, make_rng(45, 4))
+    state.t = 0.5
+    run = run_gradual if model == GRADUAL else run_jump
+    with pytest.raises(DomainError, match="^t_end: "):
+        run(state, p, make_rng(45, 5), t_end=t_end)
 
 
 def test_run_gradual_frame_times():
@@ -407,7 +437,6 @@ def test_jump_equivariance_under_global_rotation():
         x=wrap_positions(np.einsum("ab,nb->na", g, state.x), p.box_array()),
         orient=np.einsum("ab,nbc->nac", g, state.orient),
         kind=state.kind,
-        next_jump=state.next_jump.copy(),
     )
     out1, ev1 = run_jump(state, p, make_rng(43, 1), t_end=0.6)
     out2, ev2 = run_jump(rotated, p, make_rng(43, 1), t_end=0.6)
@@ -474,7 +503,8 @@ def _direct_jump(state, p, rng, t_end):
 
     is_matrix = state.kind == MATRIX
     box, kernel, table = p.box_array(), p.kernel_config(), get_angle_table(p.d)
-    x, orient, next_jump = state.x.copy(), state.orient.copy(), state.next_jump.copy()
+    x, orient = state.x.copy(), state.orient.copy()
+    next_jump = state.t + rng.exponential(1.0, size=state.n)
     t, fallbacks, events = state.t, 0, []
     heap = [(float(next_jump[i]), i) for i in range(state.n)]
     heapq.heapify(heap)
