@@ -28,7 +28,7 @@ from .macro import run_macro, twisted_initial_data
 from .micro import GRADUAL, gradual_steps, initial_state, run_gradual, run_jump, run_single_in_field
 from .rng import STREAM_DYNAMICS, STREAM_INIT, make_rng, replica_rng
 from .rotations import quat_to_rot, rot_to_quat
-from .sampling import sample_uniform_rot
+from .sampling import c1, sample_uniform_rot
 
 
 def _print_json(obj):
@@ -111,7 +111,8 @@ def cmd_simulate(args):
         else:
             summaries = [_run_replica(cfg, r) for r in replicas]
         values = [s["order_parameter"] for s in summaries if s["order_parameter"] is not None]
-        report = {"replicas": cfg["replicas"], "per_replica": summaries}
+        report = {"replicas": cfg["replicas"], "per_replica": summaries,
+                  "order_parameter_mean_field": 1.5 * c1(cfg["d"])}
         if len(values) >= 2:
             arr = np.array(values)
             report["order_parameter_mean"] = float(arr.mean())
@@ -122,6 +123,9 @@ def cmd_simulate(args):
     summary, state = _simulate(cfg, make_rng(cfg["seed"], STREAM_INIT),
                                make_rng(cfg["seed"], STREAM_DYNAMICS), cfg.get("out"))
     summary["t_end"] = state.t
+    # The order parameter of the ordered homogeneous state, where each body
+    # follows the von Mises law around the common target.
+    summary["order_parameter_mean_field"] = 1.5 * c1(cfg["d"])
     if cfg.get("out"):
         summary["frames"] = cfg["out"]
     _print_json(summary)
@@ -168,7 +172,7 @@ def cmd_constants(args):
     rows = ["D,model,c1,c2,c2p,c3,c4"]
     for model in _parse_list(args.model, str):
         for d in _parse_list(args.d, float):
-            rows.append(gci_constants(d, model, method=args.method).csv_row())
+            rows.append(gci_constants(d, model).csv_row())
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -178,6 +182,12 @@ def cmd_constants(args):
     return 0
 
 
+def _constants_fields(consts):
+    """The five constants under their CSV column names."""
+    return {"c1": consts.c1, "c2": consts.c2, "c2p": consts.c2_prime,
+            "c3": consts.c3, "c4": consts.c4}
+
+
 def cmd_gci(args):
     profile = get_profile(args.d, args.model)
     consts = gci_constants(args.d, args.model, profile=profile)
@@ -185,10 +195,7 @@ def cmd_gci(args):
         "d": args.d,
         "model": args.model,
         "residual": profile.residual,
-        "constants": {
-            "c1": consts.c1, "c2": consts.c2, "c2p": consts.c2_prime,
-            "c3": consts.c3, "c4": consts.c4,
-        },
+        "constants": _constants_fields(consts),
         "identity_gap": abs(consts.c2 - consts.c2_prime - consts.c4),
     }
     if args.probe:
@@ -223,6 +230,7 @@ def cmd_macro(args):
         "viscosity": mc["viscosity"],
         "d": cfg["d"],
         "model": cfg["model"],
+        "constants": _constants_fields(consts),
     }
     out = {}
     for field in (f_mat, f_quat):
@@ -300,7 +308,6 @@ def build_parser():
     p = sub.add_parser("constants", help="hydrodynamic coefficient table (CSV)")
     p.add_argument("--d", default="0.2,1.0,5.0", help="comma-separated noise levels")
     p.add_argument("--model", default="gradual,jump", help="comma-separated models")
-    p.add_argument("--method", choices=["simpson", "gauss"], default="simpson")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_constants)
 

@@ -16,7 +16,9 @@ The pipeline has three stages:
            = r (1-r^2)^{3/2} e^{2r^2/d}
 
    divided by (1-r^2)^{3/2} e^{2r^2/d}. Residuals are reported in the
-   weighted form. The jump model needs no solve: its profile is hbar(r) = r.
+   weighted form; a solve is accepted on the weighted residual over
+   max(weight |r|), which does not grow like e^{2/d}. The jump model needs
+   no solve: its profile is hbar(r) = r.
 
 2. ``constants``: the hydrodynamic coefficients are angle averages against
    the weight w(theta) = m(theta) sin^4(theta/2) hbar(cos(theta/2))
@@ -45,7 +47,7 @@ from numpy.polynomial import chebyshev as cheb
 
 from .errors import DomainError, NoConvergence
 from .rotations import hat, mat_dot, rotation_from_axis_angle
-from .sampling import _angle_density_shifted, _angle_moment, c1 as sampling_c1
+from .sampling import _angle_density_shifted, _angle_integral, c1 as sampling_c1
 
 GRADUAL = "gradual"
 JUMP = "jump"
@@ -116,15 +118,20 @@ def _ode_rows(r, d, n_modes):
     return np.stack(cols, axis=-1), r
 
 
-def _weighted_residual(profile_coeffs, d, r):
-    """Original (weighted-form) ODE residual |LHS - RHS| at the points r."""
+def _residuals(profile_coeffs, d, r):
+    """Max weighted-form ODE residual |LHS - RHS| over the points r, and the
+    scale-free one: the same over max(weight |r|), with the weight's exponent
+    shifted by its maximum, so it does not overflow like the first (e^{2/d})."""
     a = 1.0 - r * r
     h = cheb.chebval(r, profile_coeffs)
     dh = cheb.chebval(r, cheb.chebder(profile_coeffs))
     ddh = cheb.chebval(r, cheb.chebder(profile_coeffs, 2))
     divided = a * ddh + (-5.0 * r + (4.0 * r / d) * a) * dh - (3.0 + 4.0 * r * r / d) * h
-    weight = np.power(a, 1.5) * np.exp(2.0 * r * r / d)
-    return np.abs(weight * (divided - r))
+    x = 2.0 * r * r / d
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = float(np.max(np.abs(np.power(a, 1.5) * np.exp(x) * (divided - r))))
+    shifted = np.power(a, 1.5) * np.exp(x - np.max(x))
+    return weighted, float(np.max(np.abs(shifted * (divided - r))) / np.max(shifted * np.abs(r)))
 
 
 def _check_grid(n=2048, margin=1e-4):
@@ -140,8 +147,10 @@ def solve_h(d, ladder=LADDER):
     [0, 1] (oddness makes the negative half redundant; the endpoint row,
     where the leading coefficient vanishes, supplies the natural boundary
     condition) over the odd basis T_1, T_3, ..., solve in the least-squares
-    sense, and accept once the weighted-form residual on a 2048-point check
-    grid is below ``H_TOL``, walking a mode ladder otherwise.
+    sense, and walk a mode ladder, keeping the entry with the smallest
+    weighted-form residual on a 2048-point check grid. It is accepted when
+    its scale-free residual is below ``H_TOL`` (the weighted one grows like
+    e^{2/d} and would fail every d <= 0.08).
 
     Args:
         d: noise intensity D > 0 (the equation parameter).
@@ -151,7 +160,8 @@ def solve_h(d, ladder=LADDER):
         GciProfile for the gradual model.
 
     Raises:
-        NoConvergence: if the largest ladder entry still misses ``H_TOL``.
+        NoConvergence: if the kept entry misses ``H_TOL``; the message
+            names ``d``.
     """
     if d <= 0.0:
         raise ValueError(f"noise intensity must be positive, got {d}")
@@ -169,15 +179,16 @@ def solve_h(d, ladder=LADDER):
         sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
         coeffs = np.zeros(2 * n_modes)
         coeffs[1::2] = sol
-        res = float(np.max(_weighted_residual(coeffs, d, check)))
+        res, scale_free = _residuals(coeffs, d, check)
         if best is None or res < best[1]:
-            best = (coeffs, res)
+            best = (coeffs, res, scale_free)
         if res <= early:
             break
-    coeffs, res = best
-    if res > H_TOL:
+    coeffs, res, scale_free = best
+    if not scale_free <= H_TOL:
         raise NoConvergence(
-            f"h solve residual {res:.3e} > H_TOL = {H_TOL:.1e} after ladder {ladder}"
+            f"d {d!r}: h solve scale-free residual {scale_free:.3e} > H_TOL = "
+            f"{H_TOL:.1e} after ladder {ladder}"
         )
     return GciProfile(model=GRADUAL, d=float(d), coeffs=coeffs, residual=res)
 
@@ -236,26 +247,6 @@ class GciConstants:
         )
 
 
-def _profile_moment(g, d, profile, method):
-    """(num, den): integrals of g*w and w with the invariant-profile weight.
-
-    w(theta) = m(theta) sin^4(theta/2) hbar(cos(theta/2)) cos(theta/2), with
-    the overflow-safe shifted m (the shift cancels in the ratio), integrated
-    by the same routine as c1.
-    """
-
-    def w(theta):
-        half = 0.5 * theta
-        return (
-            _angle_density_shifted(theta, d)
-            * np.square(np.sin(half))
-            * profile.hbar(np.cos(half))
-            * np.cos(half)
-        )
-
-    return _angle_moment(g, w, d, method)
-
-
 def constants(d, model, method="simpson", profile=None):
     """Hydrodynamic constants (c1, c2, c2', c3, c4) for one noise level and model.
 
@@ -269,15 +260,27 @@ def constants(d, model, method="simpson", profile=None):
     profile = profile or get_profile(d, model)
     if profile.model != model or profile.d != float(d):
         raise ValueError("profile does not match the requested (d, model)")
-    c2_num, den = _profile_moment(lambda t: 2.0 + 3.0 * np.cos(t), d, profile, method)
-    c2p_num, _ = _profile_moment(lambda t: 1.0 + 4.0 * np.cos(t), d, profile, method)
-    c4_num, _ = _profile_moment(lambda t: 1.0 - np.cos(t), d, profile, method)
+
+    def w(theta):  # m sin^4(theta/2) hbar(cos(theta/2)) cos(theta/2), m shifted
+        half = 0.5 * theta
+        return (
+            _angle_density_shifted(theta, d)
+            * np.square(np.sin(half))
+            * profile.hbar(np.cos(half))
+            * np.cos(half)
+        )
+
+    den = _angle_integral(w, d, method)
+
+    def average(g):
+        return 0.2 * _angle_integral(lambda t: g(t) * w(t), d, method) / den
+
     return GciConstants(
         c1=sampling_c1(d, method),
-        c2=0.2 * c2_num / den,
-        c2_prime=0.2 * c2p_num / den,
+        c2=average(lambda t: 2.0 + 3.0 * np.cos(t)),
+        c2_prime=average(lambda t: 1.0 + 4.0 * np.cos(t)),
         c3=0.5 * d,
-        c4=0.2 * c4_num / den,
+        c4=average(lambda t: 1.0 - np.cos(t)),
         d=float(d),
         model=model,
     )
@@ -287,9 +290,10 @@ def vonmises_class_average(fn, center, d):
     """Integral of fn(A) against the von Mises law at ``center`` by quadrature.
 
     Decomposes A = center @ R(axis, theta): 64 Gauss-Legendre nodes in theta
-    weighted by the normalized angle marginal, and a product sphere rule
-    (16 Gauss-Legendre nodes in cos(polar), 32 trapezoid nodes in azimuth)
-    for the axis.
+    on [0, min(pi, 40 sqrt(D))] (the angle table's range, which holds the
+    peak of width sqrt(D)) weighted by the normalized angle marginal, and a
+    product sphere rule (16 Gauss-Legendre nodes in cos(polar), 32 trapezoid
+    nodes in azimuth) for the axis.
 
     Args:
         fn: vectorized map from rotation stacks (..., 3, 3) to scalars (...,).
@@ -302,8 +306,9 @@ def vonmises_class_average(fn, center, d):
     n_theta, n_mu, n_phi = 64, 16, 32
     center = np.asarray(center, dtype=np.float64)
     t_nodes, t_weights = np.polynomial.legendre.leggauss(n_theta)
-    theta = 0.5 * np.pi * (t_nodes + 1.0)
-    w_theta = 0.5 * np.pi * t_weights * _angle_density_shifted(theta, d)
+    half = 0.5 * min(np.pi, 40.0 * np.sqrt(d))
+    theta = half * (t_nodes + 1.0)
+    w_theta = half * t_weights * _angle_density_shifted(theta, d)
     w_theta /= np.sum(w_theta)
     mu, w_mu = np.polynomial.legendre.leggauss(n_mu)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi

@@ -87,11 +87,14 @@ def fd_profile(d, npts=8001):
 # --- the radial profile -------------------------------------------------------
 
 
-@pytest.mark.parametrize("d", D_PROBES)
+@pytest.mark.parametrize("d", D_PROBES + (0.05, 0.02))
 def test_h_matches_finite_difference_oracle(d, profiles):
+    """Below D = 0.08 the weighted residual carries e^{2/D}; the solve is
+    still accepted there, on its scale-free residual."""
+    prof = profiles[d] if d in profiles else solve_h(d)
     r, h_fd = fd_profile(d)
     probes = np.arange(0.1, 0.95, 0.1)
-    gap = np.abs(profiles[d].hbar(probes) - np.interp(probes, r, h_fd))
+    gap = np.abs(prof.hbar(probes) - np.interp(probes, r, h_fd))
     assert np.max(gap) < 1e-6
 
 
@@ -133,8 +136,11 @@ def test_h_satisfies_ode_directly(d, profiles):
 
 
 def test_solve_reports_no_convergence():
-    with pytest.raises(NoConvergence):
+    """The message names d, so the CLI's error line names the field."""
+    with pytest.raises(NoConvergence, match=r"^d 1\.0: "):
         solve_h(1.0, ladder=(2,))
+    with pytest.raises(NoConvergence, match=r"^d 0\.0001: "):
+        solve_h(1e-4)
 
 
 # --- the invariant weight kbar -------------------------------------------------
@@ -195,6 +201,75 @@ def test_dual_quadrature_routes_agree(d, model, profiles):
     b = constants(d, model, method="gauss", profile=prof)
     for field in ("c1", "c2", "c2_prime", "c3", "c4"):
         assert abs(getattr(a, field) - getattr(b, field)) < 1e-8
+
+
+# Log grids from 1e-5 to 5; the gradual one starts at 3e-3, just above the
+# lowest D that solve_h accepts (its weighted residual overflows below 2/709).
+JUMP_GRID = tuple(float(f"{d:.2g}") for d in np.geomspace(1e-5, 5.0, 15))
+GRADUAL_GRID = tuple(float(f"{d:.2g}") for d in np.geomspace(3e-3, 5.0, 9))
+
+
+@pytest.mark.parametrize(
+    "d, model",
+    [(d, JUMP) for d in JUMP_GRID] + [(d, GRADUAL) for d in GRADUAL_GRID],
+)
+def test_default_constants_match_gauss_at_every_d(d, model):
+    """The default (Simpson) constants against the Gauss-Legendre route."""
+    prof = get_profile(d, model)
+    a = constants(d, model, profile=prof)
+    b = constants(d, model, method="gauss", profile=prof)
+    for field in ("c1", "c2", "c2_prime", "c4"):
+        assert abs(getattr(a, field) - getattr(b, field)) <= 1e-12, field
+    assert a.c3 == b.c3 == 0.5 * d
+
+
+@pytest.mark.parametrize(
+    "d, model", [(1e-3, JUMP), (1e-2, JUMP), (1e-2, GRADUAL)]
+)
+def test_small_d_constants_against_scipy_quad(d, model):
+    """A third route: scipy quad in theta, told where the peak of width
+    sqrt(D) lies."""
+    hbar = solve_h(d).hbar if model == GRADUAL else (lambda r: r)
+    points = [k * np.sqrt(d) for k in (1.0, 2.0, 4.0, 8.0, 16.0) if k * np.sqrt(d) < np.pi]
+
+    def quad(f):
+        return integrate.quad(f, 0.0, np.pi, points=points, limit=400,
+                              epsabs=0.0, epsrel=1e-13)[0]
+
+    def m(t):
+        return np.exp((np.cos(t) - 1.0) / d)
+
+    def w(t):
+        half = 0.5 * t
+        return m(t) * np.sin(half) ** 4 * float(hbar(np.cos(half))) * np.cos(half)
+
+    c1_ref = (2 / 3) * quad(lambda t: (0.5 + np.cos(t)) * m(t) * np.sin(t / 2) ** 2) / quad(
+        lambda t: m(t) * np.sin(t / 2) ** 2
+    )
+    den = quad(w)
+    got = constants(d, model)
+    assert got.c1 == pytest.approx(c1_ref, abs=1e-9)
+    assert got.c2 == pytest.approx(0.2 * quad(lambda t: (2 + 3 * np.cos(t)) * w(t)) / den, abs=1e-9)
+    assert got.c2_prime == pytest.approx(
+        0.2 * quad(lambda t: (1 + 4 * np.cos(t)) * w(t)) / den, abs=1e-9
+    )
+    assert got.c4 == pytest.approx(0.2 * quad(lambda t: (1 - np.cos(t)) * w(t)) / den, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", (1e-5, 1e-4, 1e-3, 1e-2))
+def test_jump_c4_small_d_asymptote(d):
+    """Jump c4 = D/2 - D^2/8 - 3 D^3/16 + O(D^4).
+
+    Derived before running: with hbar(r) = r the weight is
+    m sin^4(t/2) cos^2(t/2), and expanding in cos(n t) gives
+    c4 = (5 I_0 - 4 I_1 - 4 I_2 + 4 I_3 - I_4) / (10 (2 I_0 - I_1 - 2 I_2 + I_3))
+    at k = 1/D; Hankel's series of I_n yields the coefficients. The leading
+    one is the chi_5 moment of theta/sqrt(D): <1 - cos t>_w = D E[phi^2]/2
+    = 5D/2. So for D <= 1e-2 the gap D/2 - c4 = D^2 (1/8 + 3D/16 + ...) lies
+    in [D^2/16, D^2/4].
+    """
+    gap = 0.5 * d - constants(d, JUMP).c4
+    assert d * d / 16.0 <= gap <= d * d / 4.0
 
 
 def test_frozen_constants_d1(profiles):
@@ -268,9 +343,10 @@ def test_class_average_is_normalized(d):
     assert one == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("d", D_PROBES)
+@pytest.mark.parametrize("d", D_PROBES + (1e-3, 1e-4))
 def test_class_average_alignment_moment(d):
-    """integral mat_dot(center, A) dM has the closed form (3/2) c1(d)."""
+    """integral mat_dot(center, A) dM has the closed form (3/2) c1(d), also
+    where the angle peak is narrower than the node gaps on [0, pi]."""
     rng = make_rng(50, 1)
     center = sample_uniform_rot(rng)
     val = vonmises_class_average(lambda rots: mat_dot(center, rots), center, d)

@@ -10,6 +10,7 @@ from sohb.config import DEFAULTS, load_config, sim_params_from_config, validate_
 from sohb.errors import ParseError, SchemaError, TooFewSamples
 from sohb.estimators import ks_one_sample, ks_two_sample, order_parameter
 from sohb.frames import FrameWriter, read_frames, read_metadata
+from sohb.gci import constants as gci_constants
 from sohb.micro import JUMP, MATRIX, QUATERNION, SimParams, initial_state, run_jump
 from sohb.rng import STREAM_REPLICA_BASE, make_rng, replica_rng
 from sohb.rotations import quat_to_rot
@@ -394,6 +395,14 @@ def test_cli_simulate_largest_box_runs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("model", ["gradual", "jump"])
+def test_cli_simulate_reports_mean_field_order(tmp_path, capsys, model):
+    cfg = write_config(tmp_path, model=model, d=0.01)
+    assert main(["simulate", "--config", cfg]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["order_parameter_mean_field"] == 1.5 * sampling_c1(0.01)
+
+
 def test_cli_simulate_replicas(tmp_path, capsys):
     cfg = write_config(tmp_path, replicas=2, model="jump", t_end=0.2)
     assert main(["simulate", "--config", cfg]) == 0
@@ -413,6 +422,33 @@ def test_cli_constants_csv(tmp_path):
     assert row[1] == "jump"
     assert float(row[5]) == 0.35  # c3 = D/2
     assert float(lines[2].split(",")[5]) == 1.0
+
+
+def test_cli_constants_small_d_rows_are_plain_numbers(tmp_path):
+    """At D = 0.05 the gradual profile is accepted, and every field of a row
+    parses as a number (no numpy scalar reprs)."""
+    out = str(tmp_path / "table.csv")
+    assert main(["constants", "--d", "0.05", "--model", "gradual,jump", "--out", out]) == 0
+    rows = open(out).read().strip().split("\n")[1:]
+    assert len(rows) == 2
+    for row, model in zip(rows, ("gradual", "jump")):
+        fields = row.split(",")
+        assert fields[1] == model
+        values = [float(v) for v in fields[:1] + fields[2:]]
+        gauss = gci_constants(0.05, model, method="gauss")
+        assert values[1] == pytest.approx(gauss.c1, abs=1e-12)
+        assert values[5] == pytest.approx(gauss.c4, abs=1e-12)
+
+
+def test_cli_constants_has_no_method_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["constants", "--method", "gauss"])
+    capsys.readouterr()
+
+
+def test_cli_names_d_when_the_profile_solve_fails(capsys):
+    assert main(["constants", "--d", "1e-4", "--model", "gradual"]) == 1
+    assert capsys.readouterr().err.startswith("error: d 0.0001: ")
 
 
 def test_cli_gci_report(capsys):
@@ -457,6 +493,20 @@ def test_cli_macro_echoes_what_it_ran(tmp_path, capsys):
     for kind in ("matrix", "quaternion"):
         assert report[f"steps_{kind}"] == 3  # the last step is shortened
         assert report[f"t_{kind}"] == pytest.approx(0.011)
+
+
+def test_cli_macro_echoes_the_constants_it_ran_with(tmp_path, capsys):
+    """At D = 0.01 the jump constants are the Gauss route's, not a peak the
+    quadrature missed."""
+    cfg = tmp_path / "macro.json"
+    cfg.write_text(json.dumps({"model": "jump", "d": 0.01, "macro": {
+        "grid": [16, 1, 1], "t_end": 0.02}}))
+    assert main(["macro", "--config", str(cfg)]) == 0
+    echoed = json.loads(capsys.readouterr().out)["constants"]
+    gauss = gci_constants(0.01, "jump", method="gauss")
+    assert echoed["c1"] == pytest.approx(gauss.c1, abs=1e-9)
+    for key, field in (("c2", "c2"), ("c2p", "c2_prime"), ("c3", "c3"), ("c4", "c4")):
+        assert echoed[key] == pytest.approx(getattr(gauss, field), abs=1e-9)
 
 
 def test_cli_macro_mass_drift_in_a_huge_box(tmp_path, capsys):

@@ -156,6 +156,21 @@ class TestC1:
         assert c1(1e-4) > 0.99
         assert abs(c1(1e4)) < 1e-3
 
+    @pytest.mark.parametrize("d", [1e-5, 1e-4, 1e-3, 1e-2])
+    def test_small_d_asymptote(self, d):
+        """c1 = 1 - D - D^2/4 - 3 D^3/8 + O(D^4).
+
+        Derived before running: c1 = (1/3)(I_1 - I_2)/(I_0 - I_1) at k = 1/D
+        (expand (1/2 + cos t) sin^2(t/2) in cos(n t)), and Hankel's series
+        I_n(k) ~ e^k (2 pi k)^{-1/2} sum_j (-1)^j a_j(n) (D/8)^j / j! with
+        a_j(n) = prod_{i<j} (4n^2 - (2i+1)^2) gives the coefficients. The
+        leading two are the chi_3 moments of theta/sqrt(D): E[phi^2] = 3
+        gives <1/2 + cos t> = 3/2 - 3D/2. So for D <= 1e-2 the gap
+        (1 - D) - c1 = D^2 (1/4 + 3D/8 + ...) lies in [D^2/8, D^2/2].
+        """
+        gap = (1.0 - d) - c1(d)
+        assert d * d / 8.0 <= gap <= d * d / 2.0
+
     def test_fresh_quad_cross_check(self):
         """Recompute c1 with scipy.quad at runtime, not just frozen numbers."""
 
