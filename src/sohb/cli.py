@@ -13,6 +13,7 @@ Subcommands:
 import argparse
 import json
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -235,8 +236,10 @@ def cmd_macro(args):
     out = {}
     for field in (f_mat, f_quat):
         frames = []
+        t0 = time.perf_counter()
         field = run_macro(field, consts, mc["t_end"], mc["dt"], viscosity=mc["viscosity"],
                           on_frame=lambda f: frames.append(f.t))
+        report[f"wall_s_{field.kind}"] = time.perf_counter() - t0
         report[f"steps_{field.kind}"] = len(frames) - 1
         report[f"t_{field.kind}"] = field.t
         report[f"mass_drift_{field.kind}"] = abs(float(np.sum(field.rho)) - mass0) / mass0

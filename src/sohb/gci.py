@@ -148,9 +148,10 @@ def solve_h(d, ladder=LADDER):
     where the leading coefficient vanishes, supplies the natural boundary
     condition) over the odd basis T_1, T_3, ..., solve in the least-squares
     sense, and walk a mode ladder, keeping the entry with the smallest
-    weighted-form residual on a 2048-point check grid. It is accepted when
-    its scale-free residual is below ``H_TOL`` (the weighted one grows like
-    e^{2/d} and would fail every d <= 0.08).
+    scale-free residual on a 2048-point check grid. It is accepted when that
+    residual is below ``H_TOL``. The weighted-form residual grows like
+    e^{2/d}: it would fail every d <= 0.08 and is inf at every entry below
+    d = 2/709.78, so it only ends the walk early.
 
     Args:
         d: noise intensity D > 0 (the equation parameter).
@@ -180,7 +181,7 @@ def solve_h(d, ladder=LADDER):
         coeffs = np.zeros(2 * n_modes)
         coeffs[1::2] = sol
         res, scale_free = _residuals(coeffs, d, check)
-        if best is None or res < best[1]:
+        if best is None or scale_free < best[2]:
             best = (coeffs, res, scale_free)
         if res <= early:
             break

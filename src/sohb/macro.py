@@ -34,12 +34,22 @@ Column a of Dx is axial of the central difference of Lambda times Lambda^T,
 which equals (w_a(x) + w_a(x - h e_a)) / (2h) with the relative rotation
 w_a = axial(Lambda(x + h e_a) Lambda(x)^T) (``orientation_gradient``).
 Orientation residuals are assembled as [vector]_x Lambda (resp. [vector] q)
-so tangency (resp. orthogonality) holds to round-off. The integrator updates
-rho with a conservative face flux (mass is conserved to round-off) plus
-Rusanov-style dissipation, and rotates orientations by the exact exponential
-of the local angular velocity, followed by a matching grid smoothing and
-reprojection. Expected accuracy is O(dt) in time and O(h^2) in space with an
-O(h) dissipation tail.
+so tangency (resp. orthogonality) holds to round-off.
+
+The quaternion form runs component-major: every component of qbar, of the
+relative derivatives and of the vectors built from them is one contiguous
+(nx, ny, nz) row, and each quaternion product, dot and cross product is a
+short sum over those rows. The public layouts are views of these buffers
+(``np.moveaxis``, no copy): ``rel_gradient`` returns (nx, ny, nz, 3, 4) over
+a (3, 4, nx, ny, nz) buffer, the integrator's orient is (nx, ny, nz, 4) over
+a (4, nx, ny, nz) buffer, and the next step reads the rows back without a
+copy.
+
+The integrator updates rho with a conservative face flux (mass is conserved
+to round-off) plus Rusanov-style dissipation, and rotates orientations by
+the exact exponential of the local angular velocity, followed by a matching
+grid smoothing and reprojection. Expected accuracy is O(dt) in time and
+O(h^2) in space with an O(h) dissipation tail.
 """
 
 from dataclasses import dataclass, replace
@@ -50,11 +60,9 @@ from .errors import CflViolation, DomainError, SignDiscontinuity
 from .rotations import (
     axial,
     hat,
-    quat_conj,
     quat_e1,
     quat_from_axis_angle,
     quat_mul,
-    quat_normalize,
     quat_to_rot,
     retract,
     rot_to_quat,
@@ -78,7 +86,8 @@ class MacroField:
         rho: density, shape (nx, ny, nz).
         orient: (nx, ny, nz, 3, 3) rotations or (nx, ny, nz, 4) unit
             quaternions, per ``kind``. A quaternion field must be stored as a
-            sign-continuous lift.
+            sign-continuous lift; ``step_macro`` returns it as a view of a
+            component-major (4, nx, ny, nz) buffer.
         kind: "matrix" or "quaternion".
     """
 
@@ -151,34 +160,63 @@ def orientation_gradient(lam, spacing):
     return out
 
 
+def _rows(q):
+    """The component rows of a (..., k) field as a (k, ...) view (no copy)."""
+    return np.moveaxis(np.asarray(q, dtype=np.float64), -1, 0)
+
+
+def _cross_rows(a, b, out):
+    """out = a x b for 3-vector fields given as (3, ...) rows."""
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i])
+        out[i] -= a[k] * b[j]
+    return out
+
+
 def rel_gradient(q, spacing):
     """Relative derivatives d_{j,rel} q = (d_j q) q* of a quaternion field.
+
+    With the central difference d = (q_+ - q_-) / (2h) along direction j and
+    q = (w, v), Re(d q*) = dw w + dv . v and Im(d q*) = w dv - dw v + v x dv,
+    each a sum over the component rows of q.
 
     Args:
         q: unit quaternion field, shape (nx, ny, nz, 4), sign-continuous.
         spacing: grid spacings, shape (3,).
 
     Returns:
-        rel, shape (nx, ny, nz, 3, 4) indexed [direction, component]. The
-        real component rel[..., 0] is O(h^2) and is kept as a diagnostic;
-        use rel[..., 1:] for the imaginary 3-vector.
+        rel, shape (nx, ny, nz, 3, 4) indexed [direction, component], a view
+        of a contiguous (3, 4, nx, ny, nz) buffer. The real component
+        rel[..., 0] is O(h^2) and is kept as a diagnostic; use rel[..., 1:]
+        for the imaginary 3-vector.
 
     Raises:
+        DomainError: if q has a NaN or infinite entry.
         SignDiscontinuity: if a neighbor product q . q_next is <= 0: the lift
             flips sign there, which would corrupt the finite differences.
     """
-    q = np.asarray(q, dtype=np.float64)
-    qc = quat_conj(q)
-    out = []
+    c = np.ascontiguousarray(_rows(q))
+    if not np.all(np.isfinite(c)):
+        raise DomainError("quaternion field has NaN or infinite entries")
+    w, v = c[0], c[1:]
+    out = np.empty((3,) + c.shape)
     for a in range(3):
-        dots = np.sum(q * np.roll(q, -1, axis=a), axis=-1)
+        nxt = np.roll(c, -1, axis=a + 1)
+        dots = np.einsum("k...,k...->...", c, nxt)
         if np.any(dots <= 0.0):
             raise SignDiscontinuity(
                 f"quaternion field flips sign along axis {a}: "
                 f"min neighbor product {dots.min():.3e}"
             )
-        out.append(quat_mul(_central(q, a, spacing[a]), qc))
-    return np.stack(out, axis=-2)
+        d = nxt  # q_+ is not needed past the sign test; d takes its buffer
+        d -= np.roll(c, 1, axis=a + 1)
+        d /= 2.0 * spacing[a]
+        dw, dv = d[0], d[1:]
+        np.einsum("k...,k...->...", d, c, out=out[a, 0])
+        im = _cross_rows(v, dv, out[a, 1:])
+        im += w * dv
+        im -= dw * v
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def _embed(v):
@@ -191,18 +229,21 @@ def _divergence(vec, spacing):
     return sum(_central(vec[..., a], a, spacing[a]) for a in range(3))
 
 
-def _orientation_vector(field, consts):
+def _orientation_vector(field, consts, u=None):
     """The vector v of the orientation equation rho dt(orient) + [v] orient = 0.
 
     [v] orient is [v]_x Lambda in matrix form and the quaternion product
     (0, v) qbar in quaternion form; v carries every term of the law except
-    the time derivative.
+    the time derivative. ``u`` is ``field.headings()``, passed by a caller
+    that has it already. The quaternion form works on component rows and
+    returns v as a (..., 3) view of a (3, ...) buffer.
     """
     sp = field.spacing
     rho = field.rho
-    u = field.headings()
-    grho = grad_scalar(rho, sp)
+    if u is None:
+        u = field.headings()
     if field.kind == MATRIX:
+        grho = grad_scalar(rho, sp)
         dx = orientation_gradient(field.orient, sp)
         delta = np.einsum("...ii->...", dx)
         r_x = axial(dx - np.swapaxes(dx, -1, -2))
@@ -211,15 +252,21 @@ def _orientation_vector(field, consts):
             + np.cross(u, 2.0 * consts.c3 * grho + consts.c4 * rho[..., None] * r_x)
             + consts.c4 * (rho * delta)[..., None] * u
         )
-    im = rel_gradient(field.orient, sp)[..., 1:]  # (..., direction, 3)
-    transport = np.einsum("...i,...ij->...j", u, im)
-    g = np.einsum("...ij,...j->...i", im, u)
-    div_rel = np.einsum("...ii->...", im)
-    return (
-        consts.c2_prime * rho[..., None] * transport
-        + consts.c3 * np.cross(u, grho)
-        + consts.c4 * rho[..., None] * (g + div_rel[..., None] * u)
-    )
+    # im[i, j]: component j of Im(d_{i,rel} q), one (nx, ny, nz) row each.
+    im = np.moveaxis(rel_gradient(field.orient, sp), (-2, -1), (0, 1))[:, 1:]
+    u = np.ascontiguousarray(_rows(u))
+    grho = np.stack([_central(rho, a, sp[a]) for a in range(3)])
+    v = _cross_rows(u, grho, np.empty(u.shape))
+    v *= consts.c3
+    g = np.einsum("ij...,j...->i...", im, u)
+    g += (im[0, 0] + im[1, 1] + im[2, 2]) * u
+    g *= consts.c4
+    transport = np.einsum("i...,ij...->j...", u, im)
+    transport *= consts.c2_prime
+    transport += g
+    transport *= rho
+    v += transport
+    return np.moveaxis(v, 0, -1)
 
 
 def _mass_residual(field, drho_dt, consts):
@@ -269,7 +316,7 @@ def residual_quaternion(field, drho_dt, dq_dt, consts):
     return _mass_residual(field, drho_dt, consts), res_q
 
 
-def _angular_velocity(field, consts):
+def _angular_velocity(field, consts, u=None):
     """omega with dt_orient = [omega]_x Lambda (matrix) or [omega] q (quat).
 
     The orientation equation solved for the time derivative: omega = -v / rho
@@ -278,7 +325,7 @@ def _angular_velocity(field, consts):
     rho = field.rho
     if not np.all(rho > RHO_FLOOR):  # also catches NaN
         raise DomainError(f"density fell to {rho.min():.3e}; orientation update ill-posed")
-    return -_orientation_vector(field, consts) / rho[..., None]
+    return -_orientation_vector(field, consts, u) / rho[..., None]
 
 
 def _mass_step(rho, u, c1, dt, spacing, viscosity):
@@ -301,12 +348,39 @@ def _mass_step(rho, u, c1, dt, spacing, viscosity):
     return rho - dt * div
 
 
-def _smooth(arr, spacing, dt, viscosity):
-    """Grid smoothing matching the mass dissipation: + viscosity*h*Laplacian."""
+def _smooth(arr, spacing, dt, viscosity, first=0):
+    """Grid smoothing matching the mass dissipation: + viscosity*h*Laplacian.
+
+    The grid axes of ``arr`` are ``first``, ``first + 1`` and ``first + 2``.
+    """
     out = arr.copy()
     for a in range(3):
-        w = viscosity * dt / spacing[a]
-        out += w * (np.roll(arr, -1, axis=a) + np.roll(arr, 1, axis=a) - 2.0 * arr)
+        lap = np.roll(arr, -1, axis=first + a)
+        lap += np.roll(arr, 1, axis=first + a)
+        lap -= 2.0 * arr
+        lap *= viscosity * dt / spacing[a]
+        out += lap
+    return out
+
+
+def _exp_times_quat(wdt, c):
+    """Rows of exp((0, wdt)) q from the rows wdt of a 3-vector and c of q.
+
+    exp((0, wdt)) = (cos|wdt|, sin|wdt| wdt / |wdt|), the full phase |wdt|:
+    the half-angle convention of rotation quaternions does not apply to the
+    quaternion-valued ODE itself. sin|wdt| / |wdt| is
+    ``np.sinc(|wdt| / pi)``, which is 1 at wdt = 0.
+    """
+    phase = np.sqrt(wdt[0] * wdt[0] + wdt[1] * wdt[1] + wdt[2] * wdt[2])
+    a0 = np.cos(phase)
+    a = wdt * np.sinc(phase / np.pi)
+    b0, b = c[0], c[1:]
+    out = np.empty(c.shape)
+    np.multiply(a0, b0, out=out[0])
+    out[0] -= a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    im = _cross_rows(a, b, out[1:])
+    im += a0 * b
+    im += b0 * a
     return out
 
 
@@ -327,13 +401,16 @@ def step_macro(field, consts, dt, viscosity=0.5):
         CflViolation: if dt exceeds the advective or diffusive stability
             bound for the grid.
         DomainError: if dt is not a positive finite number, viscosity is
-            not a finite number >= 0, or the density is not above the floor
-            (NaN included) or loses positivity.
+            not a finite number >= 0, orient has a NaN or infinite entry, or
+            the density is not above the floor (NaN included) or loses
+            positivity.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise DomainError(f"dt must be a positive finite number, got {dt!r}")
     if not (np.isfinite(viscosity) and viscosity >= 0.0):
         raise DomainError(f"viscosity must be a finite number >= 0, got {viscosity!r}")
+    if not np.all(np.isfinite(field.orient)):
+        raise DomainError("orient has NaN or infinite entries")
     sp = field.spacing
     h_min = float(np.min(sp))
     speed = max(consts.c1, abs(consts.c2), abs(consts.c2_prime))
@@ -342,29 +419,24 @@ def step_macro(field, consts, dt, viscosity=0.5):
             f"dt={dt} too large for spacing {h_min:.4g} "
             f"(speed {speed:.3g}, viscosity {viscosity:.3g})"
         )
-    omega = _angular_velocity(field, consts)
-    rho_new = _mass_step(field.rho, field.headings(), consts.c1, dt, sp, viscosity)
+    u = field.headings()
+    omega = _angular_velocity(field, consts, u)
+    rho_new = _mass_step(field.rho, u, consts.c1, dt, sp, viscosity)
     if not np.all(rho_new > 0.0):  # also catches NaN
         raise DomainError("density lost positivity; reduce dt or increase viscosity")
 
-    angle = np.linalg.norm(omega, axis=-1)
-    safe = np.where(angle > 0.0, angle, 1.0)[..., None]
-    axis = np.where(angle[..., None] > 0.0, omega / safe, [1.0, 0.0, 0.0])
     if field.kind == MATRIX:
+        angle = np.linalg.norm(omega, axis=-1)
+        safe = np.where(angle > 0.0, angle, 1.0)[..., None]
+        axis = np.where(angle[..., None] > 0.0, omega / safe, [1.0, 0.0, 0.0])
         rot = rotation_from_axis_angle(axis, angle * dt)
         orient = rot @ field.orient
         orient = retract(_smooth(orient, sp, dt, viscosity))
     else:
-        # Exact exponential of the purely imaginary quaternion dt*omega:
-        # exp((0, w)) = (cos|w|, sin|w| w_hat). Note the full phase |w| dt —
-        # the half-angle convention of rotation quaternions does not apply
-        # to the quaternion-valued ODE itself.
-        phase = angle * dt
-        inc = np.concatenate(
-            [np.cos(phase)[..., None], np.sin(phase)[..., None] * axis], axis=-1
-        )
-        orient = quat_mul(inc, field.orient)
-        orient = quat_normalize(_smooth(orient, sp, dt, viscosity))
+        c = _smooth(_exp_times_quat(dt * _rows(omega), _rows(field.orient)),
+                    sp, dt, viscosity, first=1)
+        c /= np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2] + c[3] * c[3])
+        orient = np.moveaxis(c, 0, -1)
     return replace(field, t=field.t + dt, rho=rho_new, orient=orient)
 
 

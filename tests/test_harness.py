@@ -482,6 +482,15 @@ def test_cli_macro_summary(tmp_path, capsys):
     assert report["orientation_max_gap"] < 0.1
 
 
+def test_cli_macro_reports_wall_time_per_form(tmp_path, capsys):
+    cfg = tmp_path / "macro.json"
+    cfg.write_text(json.dumps({"macro": {"grid": [16, 1, 1], "t_end": 0.02}}))
+    assert main(["macro", "--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for kind in ("matrix", "quaternion"):
+        assert np.isfinite(report[f"wall_s_{kind}"]) and report[f"wall_s_{kind}"] > 0.0
+
+
 def test_cli_macro_echoes_what_it_ran(tmp_path, capsys):
     cfg = tmp_path / "macro.json"
     cfg.write_text(json.dumps({"model": "jump", "d": 0.5, "macro": {

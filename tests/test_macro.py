@@ -19,7 +19,7 @@ from sohb.macro import (
     step_macro,
     twisted_initial_data,
 )
-from sohb.rotations import axial, hat, quat_conj, quat_mul, quat_to_rot
+from sohb.rotations import axial, hat, quat_conj, quat_e1, quat_mul, quat_normalize, quat_to_rot
 
 # Any plausible coefficient tuple works for operator tests; the integrator
 # only consumes the numbers. These are the D = 1 jump-model values.
@@ -123,9 +123,10 @@ def test_dx_matches_doubled_rel_gradient():
     assert g128 < 2e-3
 
 
-def twisted_rotations_3d(shape, amp=0.3):
-    """Rotation field qz(a) qx(b) qy(c) with each angle a product of sines in
-    two coordinates, as in the benchmark's 3-D criterion-10 field."""
+def twisted_quaternion_field_3d(shape, amp=0.3):
+    """Quaternion field qz(a) qx(b) qy(c) with each angle a product of sines in
+    two coordinates, as in the benchmark's 3-D criterion-10 field, on (2 pi)^3
+    with rho = 1 + 0.2 sin(x) cos(y) sin(z)."""
     length = 2.0 * np.pi
     x, y, z = np.meshgrid(*[np.arange(n) * (length / n) for n in shape], indexing="ij")
     q = None
@@ -136,7 +137,85 @@ def twisted_rotations_3d(shape, amp=0.3):
         f[..., 0] = np.cos(0.5 * angle)
         f[..., axis] = np.sin(0.5 * angle)
         q = f if q is None else quat_mul(q, f)
-    return quat_to_rot(q), np.full(3, length) / np.array(shape)
+    rho = 1.0 + 0.2 * np.sin(x) * np.cos(y) * np.sin(z)
+    return MacroField(0.0, np.full(3, length), rho, q, QUATERNION)
+
+
+def twisted_rotations_3d(shape, amp=0.3):
+    field = twisted_quaternion_field_3d(shape, amp)
+    return quat_to_rot(field.orient), field.spacing
+
+
+def central(arr, axis, h):
+    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * h)
+
+
+def reference_rel_gradient(q, sp):
+    """(d_a q) q* as two quaternion products per direction, (..., 3, 4)."""
+    return np.stack([quat_mul(central(q, a, sp[a]), quat_conj(q)) for a in range(3)],
+                    axis=-2)
+
+
+def reference_quaternion_step(field, consts, dt, viscosity=0.5):
+    """One quaternion step in the (..., 4) layout: the orientation law with
+    einsum and np.cross, the exponential update with quat_mul, the smoothing
+    with np.roll and the projection with quat_normalize."""
+    sp, rho, q = field.spacing, field.rho, field.orient
+    u = quat_e1(q)
+    grho = np.stack([central(rho, a, sp[a]) for a in range(3)], axis=-1)
+    im = reference_rel_gradient(q, sp)[..., 1:]
+    v = (consts.c2_prime * rho[..., None] * np.einsum("...i,...ij->...j", u, im)
+         + consts.c3 * np.cross(u, grho)
+         + consts.c4 * rho[..., None] * (np.einsum("...ij,...j->...i", im, u)
+                                         + np.einsum("...ii->...", im)[..., None] * u))
+    omega = -v / rho[..., None]
+    f = consts.c1 * rho[..., None] * u
+    div = np.zeros_like(rho)
+    for a in range(3):
+        flux = (0.5 * (f[..., a] + np.roll(f[..., a], -1, axis=a))
+                - viscosity * (np.roll(rho, -1, axis=a) - rho))
+        div += (flux - np.roll(flux, 1, axis=a)) / sp[a]
+    angle = np.linalg.norm(omega, axis=-1)
+    axis = omega / np.where(angle > 0.0, angle, 1.0)[..., None]
+    inc = np.concatenate([np.cos(angle * dt)[..., None],
+                          np.sin(angle * dt)[..., None] * axis], axis=-1)
+    q = quat_mul(inc, q)
+    smooth = q.copy()
+    for a in range(3):
+        w = viscosity * dt / sp[a]
+        smooth += w * (np.roll(q, -1, axis=a) + np.roll(q, 1, axis=a) - 2.0 * q)
+    return MacroField(field.t + dt, field.box, rho - dt * div, quat_normalize(smooth),
+                      QUATERNION)
+
+
+@pytest.mark.parametrize("shape", [(10, 8, 6), (12, 7, 1), (9, 1, 1)])
+def test_rel_gradient_matches_two_product_reference(shape):
+    """Both parts of d_{a,rel} q against quat_mul(central difference, q*), and
+    exact zeros along a length-1 axis."""
+    field = twisted_quaternion_field_3d(shape)
+    rel = rel_gradient(field.orient, field.spacing)
+    assert rel.shape == shape + (3, 4)
+    ref = reference_rel_gradient(field.orient, field.spacing)
+    for a in range(3):
+        if shape[a] == 1:
+            np.testing.assert_array_equal(rel[..., a, :], 0.0)
+        else:
+            assert np.max(np.abs(ref[..., a, 1:])) > 0.05
+            np.testing.assert_allclose(rel[..., a, :], ref[..., a, :], rtol=0, atol=1e-15)
+
+
+def test_quaternion_steps_match_reference_step():
+    """Eight steps on a field varying along all three axes stay within
+    round-off of the reference step, and orient keeps its (..., 4) shape."""
+    shape = (12, 10, 8)
+    field = ref = twisted_quaternion_field_3d(shape)
+    for _ in range(8):
+        field = step_macro(field, CONSTS, 0.01)
+        ref = reference_quaternion_step(ref, CONSTS, 0.01)
+        assert field.orient.shape == shape + (4,)
+        np.testing.assert_allclose(field.orient, ref.orient, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(field.rho, ref.rho, rtol=0, atol=1e-14)
+    assert np.max(np.abs(field.orient - twisted_quaternion_field_3d(shape).orient)) > 1e-3
 
 
 @pytest.mark.parametrize("shape", [(10, 8, 6), (12, 7, 1), (9, 1, 1)])
@@ -441,6 +520,25 @@ def test_density_guard_catches_nan(kind):
     field.rho[5] = np.nan
     with pytest.raises(DomainError, match="density"):
         step_macro(field, CONSTS, dt=1e-3)
+
+
+@pytest.mark.parametrize("kind", [MATRIX, QUATERNION])
+def test_step_macro_names_non_finite_orient(kind):
+    """One NaN in orient used to fail as lost density positivity."""
+    field = dict(zip((MATRIX, QUATERNION), twisted_initial_data(16, 1.0)))[kind]
+    field.orient[(5, 0, 0) + (0,) * (field.orient.ndim - 3)] = np.nan
+    with pytest.raises(DomainError, match="^orient"):
+        step_macro(field, CONSTS, dt=1e-3)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_rel_gradient_rejects_non_finite(value):
+    """A NaN used to pass the sign test (NaN <= 0 is False) and come back as
+    NaN derivatives."""
+    _, f_quat = twisted_initial_data(16, 1.0)
+    f_quat.orient[5, 0, 0, 2] = value
+    with pytest.raises(DomainError, match="NaN or infinite"):
+        rel_gradient(f_quat.orient, f_quat.spacing)
 
 
 # --- synthetic data builders --------------------------------------------------
