@@ -2,8 +2,8 @@
 
 Layers, from algebra to statistics:
 
-- rotations: SO(3)/unit-quaternion algebra, tangent projections, retractions,
-  Q-tensors, and the degenerate-average guards.
+- rotations: SO(3)/unit-quaternion algebra, tangent projections, the
+  closed-form tangent step, Q-tensors, and the degenerate-average guards.
 - sampling: the von Mises law on rotations (density, inverse-CDF angle
   tables, matrix and quaternion samplers) and its first-moment coefficient.
 - alignment: neighbor search on a periodic k-d tree, kernel-weighted sums

@@ -62,7 +62,6 @@ from .weak_error import scheme_angle_ks
 from .sampling import (
     _angle_density_shifted,
     c1,
-    get_angle_table,
     sample_uniform_quat,
     sample_uniform_rot,
     sample_vonmises_quat,
@@ -177,11 +176,10 @@ def criterion_3():
     details = []
     for d in (0.2, 1.0, 5.0):
         center = sample_uniform_rot(rng)
-        table = get_angle_table(d)
         total = np.zeros(3)
         total_sq = np.zeros(3)
         for _ in range(n // chunk):
-            a = sample_vonmises_rot(center, d, rng, size=chunk, table=table)
+            a = sample_vonmises_rot(center, d, rng, size=chunk)
             v = a[:, :, 0]
             total += v.sum(axis=0)
             total_sq += np.square(v).sum(axis=0)

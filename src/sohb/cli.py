@@ -195,7 +195,9 @@ def cmd_gci(args):
     report = {
         "d": args.d,
         "model": args.model,
-        "residual": profile.residual,
+        # The weighted residual overflows at small d; JSON has no inf or NaN.
+        "residual": profile.residual if np.isfinite(profile.residual) else None,
+        "residual_scale_free": profile.residual_scale_free,
         "constants": _constants_fields(consts),
         "identity_gap": abs(consts.c2 - consts.c2_prime - consts.c4),
     }

@@ -68,13 +68,17 @@ class GciProfile:
         d: noise intensity.
         coeffs: full Chebyshev coefficient vector of h (gradual; None for jump).
         residual: max weighted-form ODE residual on the check grid (gradual;
-            0.0 for the jump profile, which is exact).
+            0.0 for the jump profile, which is exact). It overflows to inf
+            or NaN below D = 2/709.78.
+        residual_scale_free: the same over max(weight |r|), finite at every
+            D; the solve is accepted on it.
     """
 
     model: str
     d: float
     coeffs: np.ndarray | None
     residual: float
+    residual_scale_free: float
 
     def hbar(self, r):
         """Profile value: the ODE solution h (gradual) or r itself (jump)."""
@@ -191,12 +195,13 @@ def solve_h(d, ladder=LADDER):
             f"d {d!r}: h solve scale-free residual {scale_free:.3e} > H_TOL = "
             f"{H_TOL:.1e} after ladder {ladder}"
         )
-    return GciProfile(model=GRADUAL, d=float(d), coeffs=coeffs, residual=res)
+    return GciProfile(model=GRADUAL, d=float(d), coeffs=coeffs, residual=res,
+                      residual_scale_free=scale_free)
 
 
 def jump_profile(d):
     """The exact jump-model profile hbar(r) = r."""
-    return GciProfile(model=JUMP, d=float(d), coeffs=None, residual=0.0)
+    return GciProfile(model=JUMP, d=float(d), coeffs=None, residual=0.0, residual_scale_free=0.0)
 
 
 def get_profile(d, model):

@@ -48,8 +48,11 @@ copy.
 The integrator updates rho with a conservative face flux (mass is conserved
 to round-off) plus Rusanov-style dissipation, and rotates orientations by
 the exact exponential of the local angular velocity, followed by a matching
-grid smoothing and reprojection. Expected accuracy is O(dt) in time and
-O(h^2) in space with an O(h) dissipation tail.
+grid smoothing. In matrix form the smoothing increment is projected onto the
+tangent space and applied by ``tangent_step``, a product of rotations, so
+the step cannot return a reflection; in quaternion form it is renormalized.
+Expected accuracy is O(dt) in time and O(h^2) in space with an O(h)
+dissipation tail.
 """
 
 from dataclasses import dataclass, replace
@@ -64,9 +67,9 @@ from .rotations import (
     quat_from_axis_angle,
     quat_mul,
     quat_to_rot,
-    retract,
     rot_to_quat,
     rotation_from_axis_angle,
+    tangent_step,
 )
 
 MATRIX = "matrix"
@@ -389,7 +392,10 @@ def step_macro(field, consts, dt, viscosity=0.5):
 
     Orientations are advanced by the exact exponential of the local angular
     velocity (so they stay on the manifold), then smoothed with the same
-    numerical dissipation as the density and reprojected.
+    numerical dissipation as the density: matrices by
+    ``tangent_step(Lambda, L)`` with L the smoothing increment, which agrees
+    with the polar factor of Lambda + L to first order in L; quaternions by
+    renormalizing.
 
     Args:
         field: MacroField (either kind).
@@ -426,12 +432,15 @@ def step_macro(field, consts, dt, viscosity=0.5):
         raise DomainError("density lost positivity; reduce dt or increase viscosity")
 
     if field.kind == MATRIX:
-        angle = np.linalg.norm(omega, axis=-1)
-        safe = np.where(angle > 0.0, angle, 1.0)[..., None]
-        axis = np.where(angle[..., None] > 0.0, omega / safe, [1.0, 0.0, 0.0])
-        rot = rotation_from_axis_angle(axis, angle * dt)
-        orient = rot @ field.orient
-        orient = retract(_smooth(orient, sp, dt, viscosity))
+        # exp([dt omega]_x) = Phi(exp((0, dt omega / 2))), with sin p / p as
+        # np.sinc(p / pi), which is 1 at omega = 0.
+        half = 0.5 * dt * omega
+        p = np.linalg.norm(half, axis=-1)
+        q = np.empty(p.shape + (4,))
+        q[..., 0] = np.cos(p)
+        np.multiply(np.sinc(p / np.pi)[..., None], half, out=q[..., 1:])
+        orient = quat_to_rot(q) @ field.orient
+        orient = tangent_step(orient, _smooth(orient, sp, dt, viscosity) - orient)
     else:
         c = _smooth(_exp_times_quat(dt * _rows(omega), _rows(field.orient)),
                     sp, dt, viscosity, first=1)

@@ -46,7 +46,6 @@ from .alignment import (
 from .errors import DegenerateAverage, DomainError
 from .rotations import quat_e1, quat_normalize, rot_to_quat, tangent_step
 from .sampling import (
-    get_angle_table,
     sample_uniform_quat,
     sample_uniform_rot,
     sample_vonmises_quat,
@@ -346,7 +345,6 @@ def run_jump(state, params, rng, t_end, on_event=None):
     head = form.heading(orient)  # a view for matrices
     fallbacks = state.degenerate_count
     kernel = params.kernel_config()
-    table = get_angle_table(params.d)
     events = []
 
     while heap and heap[0][0] <= t_end:
@@ -366,7 +364,7 @@ def run_jump(state, params, rng, t_end, on_event=None):
             fallbacks += 1
         anchor_x[n] = x_n
         anchor_t[n] = t
-        orient[n] = form.vonmises(center, params.d, rng, table=table)
+        orient[n] = form.vonmises(center, params.d, rng)
         head[n] = form.heading(orient[n])
         events.append((t, n))
         if on_event is not None:
@@ -401,34 +399,29 @@ def run_single_in_field(
         field: the prescribed rotation (3, 3); quaternion runs lift it.
         d: noise intensity.
         rng: numpy Generator.
-        t_end: horizon (gradual; also jump when n_jumps is None).
+        t_end: horizon (gradual only).
         dt: step (gradual only).
         replicas: number of independent copies integrated in parallel
             (gradual only); replica r uses the r-th row of each batched draw.
         init: "center" (start at the field) or "stationary" (start from an
             exact sample of the stationary law).
-        n_jumps: jump model: stop after exactly this many events instead of
-            at t_end.
+        n_jumps: number of events (jump only).
 
     Returns:
         Gradual: array of final orientations, shape (replicas, 3, 3) or
         (replicas, 4). Jump: (times, orients) — event times and post-jump
         orientations, shapes (M,) and (M, 3, 3) / (M, 4).
+
+    Raises:
+        DomainError: naming ``n_jumps`` if a jump run is not given one.
     """
     form = _form(representation)
     center = form.lift(np.asarray(field, dtype=np.float64))
     if model == JUMP:
         if n_jumps is None:
-            # Draw clocks in growing chunks until the horizon is passed.
-            gaps = [rng.exponential(1.0, size=max(16, int(2 * t_end) + 8))]
-            while np.sum(np.concatenate(gaps)) <= t_end:
-                gaps.append(rng.exponential(1.0, size=len(gaps[-1]) * 2))
-            times = np.cumsum(np.concatenate(gaps))
-            times = times[times <= t_end]
-            m = times.shape[0]
-        else:
-            m = int(n_jumps)
-            times = np.cumsum(rng.exponential(1.0, size=m))
+            raise DomainError("n_jumps: a jump run needs the number of events")
+        m = int(n_jumps)
+        times = np.cumsum(rng.exponential(1.0, size=m))
         return times, form.vonmises(center, d, rng, size=max(m, 1))[:m]
 
     if model != GRADUAL:

@@ -15,7 +15,7 @@ identity checked in the test suite:
 
 import numpy as np
 
-from .errors import DegenerateAverage, DomainError
+from .errors import DegenerateAverage
 
 #: Relative determinant floor below which a matrix average has no usable polar
 #: rotation: det(m) is compared with DELTA_DET * (|m|_F^2 / 3)^(3/2), so the
@@ -158,62 +158,6 @@ def polar_rotation_or_mask(m):
     if not ok.all():
         m = np.where(ok[..., None, None], m, np.eye(3))
     return _polar_svd(m), ok
-
-
-def retract(m):
-    """Project a near-rotation matrix back onto SO(3).
-
-    This is the polar-factor retraction used after an explicit step: a
-    Newton-Schulz iteration X <- X - X (X^T X - I) / 2 (quadratically
-    convergent for matrices with singular values near 1) that leaves each
-    entry alone once it has |X^T X - I| <= 1e-12, so rotations come back
-    bit-equal. Entries that miss that after six iterations, or are too far
-    from orthogonal for the iteration to reach their polar factor, fall
-    back to the SVD. The iteration runs on an entry-major (3, 3, N) copy,
-    so each entry of X^T X and of the update is a three-term sum over
-    contiguous rows of N values.
-
-    Raises:
-        DomainError: if an entry is NaN or infinite; the SVD would fail on
-            it or never return.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if not np.isfinite(m).all():
-        raise DomainError("retract: the matrix has a NaN or infinite entry")
-    shape = m.shape
-    x = np.moveaxis(m.reshape((-1, 3, 3)), 0, -1).copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = _gram_minus_eye(x)
-        # The iteration keeps the sign of a singular value only below sqrt(3);
-        # |m^T m - I|_F < 2 keeps every one of them there.
-        far = ~(np.sum(e * e, axis=(0, 1)) < 4.0)
-        done = np.abs(e).max(axis=(0, 1)) <= 1e-12  # False on NaN
-        for _ in range(6):
-            if done.all():
-                break
-            step = np.empty_like(x)
-            for i in range(3):
-                for j in range(3):
-                    step[i, j] = x[i, j] - 0.5 * (
-                        x[i, 0] * e[0, j] + x[i, 1] * e[1, j] + x[i, 2] * e[2, j])
-            x = np.where(done, x, step)
-            e = _gram_minus_eye(x)
-            done = np.abs(e).max(axis=(0, 1)) <= 1e-12
-        bad = far | ~done
-    x = np.ascontiguousarray(np.moveaxis(x, -1, 0))
-    if np.any(bad):
-        x[bad] = _polar_svd(m.reshape((-1, 3, 3))[bad])
-    return x.reshape(shape)
-
-
-def _gram_minus_eye(x):
-    """X^T X - I for an entry-major batch x of shape (3, 3, N)."""
-    e = np.empty_like(x)
-    for i in range(3):
-        for j in range(i, 3):
-            e[i, j] = e[j, i] = x[0, i] * x[0, j] + x[1, i] * x[1, j] + x[2, i] * x[2, j]
-        e[i, i] -= 1.0
-    return e
 
 
 def quat_mul(p, q):

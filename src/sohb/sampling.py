@@ -17,6 +17,8 @@ construction through the half-angle map, with an extra fair sign flip so
 both preimages of each rotation are produced.
 """
 
+from functools import cache
+
 import numpy as np
 
 from .errors import DomainError
@@ -102,15 +104,10 @@ class AngleTable:
         return np.interp(np.asarray(theta, dtype=np.float64), self.theta, self.cdf)
 
 
-_TABLE_CACHE = {}
-
-
+@cache
 def get_angle_table(d):
-    """Shared per-D table cache (tables are immutable)."""
-    key = float(d)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = AngleTable(key)
-    return _TABLE_CACHE[key]
+    """The AngleTable for noise level d, built once per D (tables are immutable)."""
+    return AngleTable(float(d))
 
 
 def _uniform_axis(rng, size):
@@ -119,20 +116,19 @@ def _uniform_axis(rng, size):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def draw_angle_axis(d, rng, size, table=None):
+def draw_angle_axis(d, rng, size):
     """Draw (theta, axis) pairs of the centered distribution M_{I}.
 
     Exposed so paired matrix/quaternion samples can be built from the same
     underlying draws. Per sample: one uniform (angle) and three Gaussians
     (axis).
     """
-    table = table or get_angle_table(d)
-    theta = table.sample(rng, size)
+    theta = get_angle_table(d).sample(rng, size)
     axis = _uniform_axis(rng, size)
     return theta, axis
 
 
-def sample_vonmises_rot(center, d, rng, size=None, table=None):
+def sample_vonmises_rot(center, d, rng, size=None):
     """Sample rotation(s) from the von Mises distribution centered at ``center``.
 
     By left invariance the sample is center @ B with B distributed around
@@ -143,20 +139,19 @@ def sample_vonmises_rot(center, d, rng, size=None, table=None):
         d: noise intensity D > 0.
         rng: numpy Generator.
         size: None for a single (3, 3) sample, else the number of samples.
-        table: optional pre-built AngleTable for this D.
 
     Returns:
         Array of shape (3, 3) or (size, 3, 3).
     """
     center = np.asarray(center, dtype=np.float64)
     n = 1 if size is None else int(size)
-    theta, axis = draw_angle_axis(d, rng, n, table)
+    theta, axis = draw_angle_axis(d, rng, n)
     b = rotation_from_axis_angle(axis, theta)
     out = center @ b
     return out[0] if size is None else out
 
 
-def sample_vonmises_quat(center, d, rng, size=None, table=None):
+def sample_vonmises_quat(center, d, rng, size=None):
     """Sample unit quaternion(s) whose image under Phi is M_{Phi(center)}.
 
     Uses the same (theta, axis) construction as the matrix sampler composed
@@ -169,14 +164,13 @@ def sample_vonmises_quat(center, d, rng, size=None, table=None):
         d: noise intensity D > 0.
         rng: numpy Generator.
         size: None for a single (4,) sample, else the number of samples.
-        table: optional pre-built AngleTable.
 
     Returns:
         Array of shape (4,) or (size, 4).
     """
     center = np.asarray(center, dtype=np.float64)
     n = 1 if size is None else int(size)
-    theta, axis = draw_angle_axis(d, rng, n, table)
+    theta, axis = draw_angle_axis(d, rng, n)
     r = quat_from_axis_angle(axis, theta)
     sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     out = quat_mul(center, r) * sign[:, None]

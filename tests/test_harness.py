@@ -460,6 +460,21 @@ def test_cli_gci_report(capsys):
     assert report["adjoint_max_residual"] < 1e-8
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_cli_gci_prints_strict_json_at_small_d(capsys):
+    """Below D = 2/709.78 the weighted residual overflows; the report prints
+    it as null, with the finite scale-free residual the solve accepted."""
+    from sohb.gci import H_TOL
+
+    assert main(["gci", "--d", "0.0015", "--model", "gradual"]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert report["residual"] is None
+    assert 0.0 <= report["residual_scale_free"] <= H_TOL
+
+
 def test_cli_single_writes_samples(tmp_path, capsys):
     out = str(tmp_path / "samples.ndjson")
     code = main(["single", "--model", "jump", "--n-jumps", "150",

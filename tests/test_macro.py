@@ -19,7 +19,19 @@ from sohb.macro import (
     step_macro,
     twisted_initial_data,
 )
-from sohb.rotations import axial, hat, quat_conj, quat_e1, quat_mul, quat_normalize, quat_to_rot
+from sohb.rotations import (
+    axial,
+    hat,
+    polar_rotation,
+    project_tangent,
+    quat_conj,
+    quat_e1,
+    quat_mul,
+    quat_normalize,
+    quat_to_rot,
+    rotation_from_axis_angle,
+)
+from sohb.sampling import sample_uniform_rot
 
 # Any plausible coefficient tuple works for operator tests; the integrator
 # only consumes the numbers. These are the D = 1 jump-model values.
@@ -156,6 +168,26 @@ def reference_rel_gradient(q, sp):
                     axis=-2)
 
 
+def reference_rho_step(rho, u, consts, dt, sp, viscosity):
+    """The conservative density update with np.roll face fluxes."""
+    f = consts.c1 * rho[..., None] * u
+    div = np.zeros_like(rho)
+    for a in range(3):
+        flux = (0.5 * (f[..., a] + np.roll(f[..., a], -1, axis=a))
+                - viscosity * (np.roll(rho, -1, axis=a) - rho))
+        div += (flux - np.roll(flux, 1, axis=a)) / sp[a]
+    return rho - dt * div
+
+
+def reference_smoothed(arr, dt, sp, viscosity):
+    """arr plus viscosity * dt / h times the np.roll Laplacian along each axis."""
+    out = arr.copy()
+    for a in range(3):
+        w = viscosity * dt / sp[a]
+        out += w * (np.roll(arr, -1, axis=a) + np.roll(arr, 1, axis=a) - 2.0 * arr)
+    return out
+
+
 def reference_quaternion_step(field, consts, dt, viscosity=0.5):
     """One quaternion step in the (..., 4) layout: the orientation law with
     einsum and np.cross, the exponential update with quat_mul, the smoothing
@@ -169,23 +201,42 @@ def reference_quaternion_step(field, consts, dt, viscosity=0.5):
          + consts.c4 * rho[..., None] * (np.einsum("...ij,...j->...i", im, u)
                                          + np.einsum("...ii->...", im)[..., None] * u))
     omega = -v / rho[..., None]
-    f = consts.c1 * rho[..., None] * u
-    div = np.zeros_like(rho)
-    for a in range(3):
-        flux = (0.5 * (f[..., a] + np.roll(f[..., a], -1, axis=a))
-                - viscosity * (np.roll(rho, -1, axis=a) - rho))
-        div += (flux - np.roll(flux, 1, axis=a)) / sp[a]
     angle = np.linalg.norm(omega, axis=-1)
     axis = omega / np.where(angle > 0.0, angle, 1.0)[..., None]
     inc = np.concatenate([np.cos(angle * dt)[..., None],
                           np.sin(angle * dt)[..., None] * axis], axis=-1)
     q = quat_mul(inc, q)
-    smooth = q.copy()
-    for a in range(3):
-        w = viscosity * dt / sp[a]
-        smooth += w * (np.roll(q, -1, axis=a) + np.roll(q, 1, axis=a) - 2.0 * q)
-    return MacroField(field.t + dt, field.box, rho - dt * div, quat_normalize(smooth),
-                      QUATERNION)
+    rho1 = reference_rho_step(rho, u, consts, dt, sp, viscosity)
+    return MacroField(field.t + dt, field.box, rho1,
+                      quat_normalize(reference_smoothed(q, dt, sp, viscosity)), QUATERNION)
+
+
+def reference_matrix_step(field, consts, dt, viscosity=0.5):
+    """One matrix step: Dx from axial((Lambda_+ - Lambda_-) Lambda^T) / (2h),
+    the orientation law with einsum and np.cross, the exponential update by
+    Rodrigues with an explicit zero-angle mask, and the smoothing increment L
+    applied as polar_rotation(Lambda_1 + project_tangent(Lambda_1, L)), the
+    SVD route."""
+    sp, rho, lam = field.spacing, field.rho, field.orient
+    u = lam[..., :, 0]
+    lam_t = np.swapaxes(lam, -1, -2)
+    dx = np.stack([axial((np.roll(lam, -1, axis=a) - np.roll(lam, 1, axis=a)) @ lam_t)
+                   / (2.0 * sp[a]) for a in range(3)], axis=-1)
+    grho = np.stack([central(rho, a, sp[a]) for a in range(3)], axis=-1)
+    r_x = axial(dx - np.swapaxes(dx, -1, -2))
+    v = (consts.c2 * rho[..., None] * np.einsum("...ij,...j->...i", dx, u)
+         + np.cross(u, 2.0 * consts.c3 * grho + consts.c4 * rho[..., None] * r_x)
+         + consts.c4 * (rho * np.einsum("...ii->...", dx))[..., None] * u)
+    omega = -v / rho[..., None]
+    angle = np.linalg.norm(omega, axis=-1)
+    moving = angle > 0.0
+    axis = np.where(moving[..., None], omega / np.where(moving, angle, 1.0)[..., None],
+                    [1.0, 0.0, 0.0])
+    lam1 = rotation_from_axis_angle(axis, angle * dt) @ lam
+    inc = reference_smoothed(lam1, dt, sp, viscosity) - lam1
+    lam2 = polar_rotation(lam1 + project_tangent(lam1, inc))
+    rho1 = reference_rho_step(rho, u, consts, dt, sp, viscosity)
+    return MacroField(field.t + dt, field.box, rho1, lam2, MATRIX)
 
 
 @pytest.mark.parametrize("shape", [(10, 8, 6), (12, 7, 1), (9, 1, 1)])
@@ -216,6 +267,35 @@ def test_quaternion_steps_match_reference_step():
         np.testing.assert_allclose(field.orient, ref.orient, rtol=0, atol=1e-14)
         np.testing.assert_allclose(field.rho, ref.rho, rtol=0, atol=1e-14)
     assert np.max(np.abs(field.orient - twisted_quaternion_field_3d(shape).orient)) > 1e-3
+
+
+def test_matrix_steps_match_reference_step():
+    """Eight matrix steps on a field varying along all three axes stay within
+    round-off of the SVD-route reference step."""
+    shape = (12, 10, 8)
+    qfield = twisted_quaternion_field_3d(shape)
+    start = MacroField(0.0, qfield.box, qfield.rho, quat_to_rot(qfield.orient), MATRIX)
+    field = ref = start
+    for _ in range(8):
+        field = step_macro(field, CONSTS, 0.01)
+        ref = reference_matrix_step(ref, CONSTS, 0.01)
+        np.testing.assert_allclose(field.orient, ref.orient, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(field.rho, ref.rho, rtol=0, atol=1e-14)
+    assert np.max(np.abs(field.orient - start.orient)) > 1e-3
+
+
+@pytest.mark.parametrize("nu_dt_over_h", [0.25, 0.4995])
+def test_matrix_step_keeps_rough_field_on_so3(nu_dt_over_h):
+    """A field of Haar-random rotations, where the smoothed matrices are far
+    from orthogonal, still steps to proper rotations at any dt inside the
+    diffusive CFL bound viscosity * dt <= h / 2."""
+    rng = np.random.default_rng(3)
+    lam = sample_uniform_rot(rng, 16**3).reshape(16, 16, 16, 3, 3)
+    field = MacroField(0.0, np.full(3, 16.0), np.ones((16, 16, 16)), lam, MATRIX)
+    out = step_macro(field, CONSTS, dt=nu_dt_over_h / 0.5, viscosity=0.5)
+    assert np.all(np.linalg.det(out.orient) > 0.0)
+    gram = np.swapaxes(out.orient, -1, -2) @ out.orient
+    assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
 
 
 @pytest.mark.parametrize("shape", [(10, 8, 6), (12, 7, 1), (9, 1, 1)])

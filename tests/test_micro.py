@@ -59,13 +59,13 @@ def test_zero_noise_alignment_is_ascent():
     """mat_dot(A_t, field) is nondecreasing along the deterministic flow."""
     rng = make_rng(40, 1)
     field = sample_uniform_rot(rng)
-    from sohb.rotations import project_tangent, retract
+    from sohb.rotations import polar_rotation, project_tangent
 
     # start away from the field and integrate the projected flow explicitly
     a = rotation_from_axis_angle(np.array([0.0, 0.0, 1.0]), 2.5) @ field
     prev = mat_dot(a, field)
     for _ in range(600):
-        a = retract(a + project_tangent(a, field * 2e-2))
+        a = polar_rotation(a + project_tangent(a, field * 2e-2))
         cur = mat_dot(a, field)
         assert cur >= prev - 1e-12
         prev = cur
@@ -102,14 +102,14 @@ def test_representation_equivalence_zero_noise():
     rng = make_rng(40, 4)
     field = sample_uniform_rot(rng)
     start = rotation_from_axis_angle(np.array([0.3, 0.1, 0.9]) / np.linalg.norm([0.3, 0.1, 0.9]), 1.2) @ field
-    from sohb.rotations import project_tangent, quat_normalize, retract
+    from sohb.rotations import polar_rotation, project_tangent, quat_normalize
 
     a = start.copy()
     q = rot_to_quat(start)
     qf = rot_to_quat(field)
     dt = 1e-2
     for _ in range(1200):
-        a = retract(a + project_tangent(a, field * dt))
+        a = polar_rotation(a + project_tangent(a, field * dt))
         drift = np.dot(qf, q) * qf - 0.25 * q
         incr = drift * dt
         incr -= np.dot(incr, q) * q
@@ -369,6 +369,15 @@ def test_jump_mean_waiting_time():
     assert abs(gaps.mean() - 1.0) <= 4.0 / np.sqrt(gaps.size)
 
 
+def test_single_jump_run_needs_n_jumps():
+    """A single-body jump run is counted in events: without n_jumps it raises
+    a DomainError naming it instead of drawing clocks up to t_end."""
+    from sohb.errors import DomainError
+
+    with pytest.raises(DomainError, match="^n_jumps: "):
+        run_single_in_field(JUMP, MATRIX, np.eye(3), 1.0, make_rng(42, 3), t_end=5.0)
+
+
 def test_jump_small_noise_tracks_target():
     """At D -> 0 the post-jump orientation hugs the local target."""
     p = params(model=JUMP, d=1e-4, n_particles=16, box=3.0)
@@ -499,10 +508,10 @@ def _direct_jump(state, p, rng, t_end):
 
     from sohb.alignment import target_quaternion, target_rotation
     from sohb.errors import DegenerateAverage
-    from sohb.sampling import get_angle_table, sample_vonmises_quat, sample_vonmises_rot
+    from sohb.sampling import sample_vonmises_quat, sample_vonmises_rot
 
     is_matrix = state.kind == MATRIX
-    box, kernel, table = p.box_array(), p.kernel_config(), get_angle_table(p.d)
+    box, kernel = p.box_array(), p.kernel_config()
     x, orient = state.x.copy(), state.orient.copy()
     next_jump = state.t + rng.exponential(1.0, size=state.n)
     t, fallbacks, events = state.t, 0, []
@@ -527,9 +536,9 @@ def _direct_jump(state, p, rng, t_end):
             center = orient[n]
             fallbacks += 1
         if is_matrix:
-            orient[n] = sample_vonmises_rot(center, p.d, rng, table=table)
+            orient[n] = sample_vonmises_rot(center, p.d, rng)
         else:
-            orient[n] = sample_vonmises_quat(center, p.d, rng, table=table)
+            orient[n] = sample_vonmises_quat(center, p.d, rng)
         events.append((t, n))
         next_jump[n] = t + rng.exponential(1.0)
         heapq.heappush(heap, (float(next_jump[n]), n))

@@ -20,7 +20,6 @@ from sohb.rotations import (
     quat_mul,
     quat_normalize,
     quat_to_rot,
-    retract,
     rot_to_quat,
     rotation_angle,
     rotation_from_axis_angle,
@@ -116,7 +115,7 @@ def test_project_tangent_idempotent_and_orthogonal(rng):
     np.testing.assert_allclose(mat_dot(m - p, p), 0.0, atol=1e-13)
 
 
-# --- polar_rotation / retract ----------------------------------------------
+# --- polar_rotation -------------------------------------------------------------
 
 
 def test_polar_scaled_identity():
@@ -180,76 +179,6 @@ def test_polar_maximizes_mat_dot(rng):
     best = polar_rotation(m)
     probes = sample_uniform_rot(rng, size=1000)
     assert np.all(mat_dot(best, m) >= mat_dot(probes, m) - 1e-12)
-
-
-def test_retract_matches_polar(rng):
-    from sohb.micro import sample_uniform_rot
-
-    a = sample_uniform_rot(rng, size=64)
-    step = 0.05 * rng.standard_normal((64, 3, 3))
-    near = a + project_tangent(a, step)
-    np.testing.assert_allclose(retract(near), polar_rotation(near), atol=1e-12)
-    assert_rotation(retract(near))
-
-
-def test_retract_far_input_falls_back_to_polar(rng):
-    """Inputs off orthogonal by more than the iteration can repair still get
-    their polar factor: 2R would converge to the reflection -R, and
-    R diag(2, 2, 1) to a rotation that is not R."""
-    from sohb.micro import sample_uniform_rot
-
-    r = sample_uniform_rot(rng, size=4)
-    b = rng.standard_normal((3, 3))
-    far = np.stack([2.0 * r[0], r[1] @ np.diag([2.0, 2.0, 1.0]), 3.0 * r[2],
-                    r[3] @ (b @ b.T + 0.1 * np.eye(3))])
-    near = r + project_tangent(r, 0.05 * rng.standard_normal((4, 3, 3)))
-    mixed = np.concatenate([far, near])
-    got = retract(mixed)
-    np.testing.assert_allclose(got, polar_rotation(mixed), atol=1e-12)
-    np.testing.assert_allclose(got[:4], r, atol=1e-12)
-    assert_rotation(got)
-
-
-def test_retract_stops_on_orthogonal_input(rng):
-    """Rotations already within 1e-12 of orthogonal come back unchanged."""
-    from sohb.micro import sample_uniform_rot
-
-    r = sample_uniform_rot(rng, size=16)
-    got = retract(r)
-    np.testing.assert_array_equal(got, r)
-    assert not np.shares_memory(got, r)
-    assert retract(np.empty((0, 3, 3))).shape == (0, 3, 3)
-
-
-def test_retract_grid_batch_of_mixed_entries(rng):
-    """A (nx, ny, nz, 3, 3) field mixing exact rotations, near-orthogonal
-    entries and far ones keeps its shape: rotations come back bit-equal and
-    every entry matches its polar factor."""
-    from sohb.micro import sample_uniform_rot
-
-    r = sample_uniform_rot(rng, size=24)
-    m = r.copy()
-    m[8:16] = r[8:16] + project_tangent(r[8:16], 0.05 * rng.standard_normal((8, 3, 3)))
-    m[16:20] = 2.0 * r[16:20]
-    m[20:] = r[20:] @ np.diag([2.0, 2.0, 1.0])
-    perm = rng.permutation(24)
-    field = m[perm].reshape(4, 3, 2, 3, 3)
-    got = retract(field)
-    assert got.shape == (4, 3, 2, 3, 3)
-    np.testing.assert_allclose(got, polar_rotation(field), rtol=0, atol=1e-12)
-    assert_rotation(got.reshape(-1, 3, 3))
-    np.testing.assert_array_equal(got.reshape(24, 3, 3)[perm < 8], m[perm[perm < 8]])
-
-
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_retract_rejects_non_finite_entries(bad):
-    """A NaN or infinite entry raises instead of reaching the SVD, which
-    fails on NaN and never returns on an infinite entry."""
-    from sohb.errors import DomainError
-
-    m = np.stack([np.eye(3), np.diag([bad, 1.0, 1.0])])
-    with pytest.raises(DomainError, match="NaN or infinite"):
-        retract(m)
 
 
 # --- tangent_step -----------------------------------------------------------------
