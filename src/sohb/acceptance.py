@@ -29,8 +29,7 @@ from .gci import (
 from .macro import (
     orientation_gradient,
     rel_gradient,
-    residual_matrix,
-    residual_quaternion,
+    residuals,
     run_macro,
     sine_rotation_field,
     twisted_initial_data,
@@ -60,8 +59,8 @@ from .rotations import (
 )
 from .weak_error import scheme_angle_ks
 from .sampling import (
-    _angle_density_shifted,
     c1,
+    reference_angle_cdf,
     sample_uniform_quat,
     sample_uniform_rot,
     sample_vonmises_quat,
@@ -83,18 +82,16 @@ class AcceptanceResult:
         return f"{tag} {self.number:>2}  {self.name} — {self.detail}"
 
 
-def _stationary_angle_cdf(d, npts=1 << 14):
-    """Reference CDF of the angle marginal, by dense trapezoid quadrature.
+def _stationary_angle_cdf(d):
+    """Reference CDF of the angle marginal: ``reference_angle_cdf`` on its
+    own grid, [0, pi] with 2^14 intervals, linearly interpolated.
 
-    Deliberately independent of the sampler's inverse-CDF table (different
-    rule, different grid) so sampler and reference cannot share a bug.
+    The rule is the sampler's (trapezoid), but the grid is not: the sampler's
+    table stops at min(pi, 40 sqrt(D)) with TABLE_SIZE intervals, so sampler
+    and reference do not share a table.
     """
-    theta = np.linspace(0.0, np.pi, npts + 1)
-    dens = _angle_density_shifted(theta, d)
-    cum = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(theta))]
-    )
-    cum /= cum[-1]
+    theta = np.linspace(0.0, np.pi, (1 << 14) + 1)
+    cum = reference_angle_cdf(theta, d)
     return lambda x: np.interp(x, theta, cum)
 
 
@@ -404,14 +401,10 @@ def criterion_9():
     rho = (1.0 + 0.3 * np.sin(2.0 * np.pi * x / length)).reshape(n, 1, 1)
     f_mat.rho = rho.copy()
     f_quat.rho = rho.copy()
-    _, res_lam = residual_matrix(
-        f_mat, np.zeros_like(rho), np.zeros_like(f_mat.orient), consts
-    )
+    _, res_lam = residuals(f_mat, np.zeros_like(rho), np.zeros_like(f_mat.orient), consts)
     sym = res_lam @ np.swapaxes(f_mat.orient, -1, -2)
     tangency = float(np.max(np.linalg.norm(sym + np.swapaxes(sym, -1, -2), axis=(-2, -1))))
-    _, res_q = residual_quaternion(
-        f_quat, np.zeros_like(rho), np.zeros_like(f_quat.orient), consts
-    )
+    _, res_q = residuals(f_quat, np.zeros_like(rho), np.zeros_like(f_quat.orient), consts)
     ortho = float(np.max(np.abs(np.sum(res_q * f_quat.orient, axis=-1))))
     ok = ratio_dx >= 3.5 and ratio_rel >= 3.5 and tangency <= 1e-8 and ortho <= 1e-8
     return AcceptanceResult(

@@ -27,7 +27,7 @@ from .gci import constants as gci_constants
 from .gci import get_profile, verify_adjoint_jump
 from .macro import run_macro, twisted_initial_data
 from .micro import GRADUAL, gradual_steps, initial_state, run_gradual, run_jump, run_single_in_field
-from .rng import STREAM_DYNAMICS, STREAM_INIT, make_rng, replica_rng
+from .rng import STREAM_DYNAMICS, STREAM_INIT, make_rng
 from .rotations import quat_to_rot, rot_to_quat
 from .sampling import c1, sample_uniform_rot
 
@@ -47,19 +47,19 @@ def _order_summary(state):
     return {"order_parameter": rep.value, "order_parameter_stderr": rep.stderr}
 
 
-def _simulate(cfg, init_rng, dyn_rng, out=None):
-    """Run the configured model from a fresh initial state.
+def _run_replica(cfg, replica):
+    """Replica ``replica`` of the configured run, from a fresh initial state.
 
-    The gradual model takes fixed steps of ``dt``, so ``t_end`` must be a
-    whole number of them (within 1e-9 relative).
-
-    Args:
-        out: optional frame-log path; it gets every ``save_every``-th
-            gradual frame, or the final jump state.
+    The initial state comes from stream (seed, 2 replica + STREAM_INIT) and
+    the dynamics from (seed, 2 replica + STREAM_DYNAMICS), so replica 0 is
+    the single run. The gradual model takes fixed steps of ``dt``, so
+    ``t_end`` must be a whole number of them (within 1e-9 relative). The
+    config's ``out``, if set, gets every ``save_every``-th gradual frame, or
+    the final jump state.
 
     Returns:
-        (summary, state): the summary dict (``n_events`` for jump runs) and
-        the final state.
+        The summary dict: ``t_end``, degenerate count, order parameter, and
+        ``n_events`` for jump runs.
 
     Raises:
         SchemaError: at ``dt`` when t_end / dt is not a whole number.
@@ -70,8 +70,10 @@ def _simulate(cfg, init_rng, dyn_rng, out=None):
             gradual_steps(0.0, cfg["t_end"], params.dt)
         except DomainError as exc:
             raise SchemaError(str(exc), path="dt") from exc
-    state = initial_state(params, init_rng)
+    state = initial_state(params, make_rng(cfg["seed"], 2 * replica + STREAM_INIT))
+    dyn_rng = make_rng(cfg["seed"], 2 * replica + STREAM_DYNAMICS)
     summary = {}
+    out = cfg.get("out")
     writer = FrameWriter(out, metadata={"config": cfg, "version": __version__}) if out else None
     try:
         if params.model == GRADUAL:
@@ -86,15 +88,9 @@ def _simulate(cfg, init_rng, dyn_rng, out=None):
     finally:
         if writer:
             writer.close()
-    summary.update(degenerate_count=state.degenerate_count, **_order_summary(state))
-    return summary, state
-
-
-def _run_replica(cfg, replica):
-    """One independent simulation replica; returns its summary dict."""
-    summary, _ = _simulate(cfg, replica_rng(cfg["seed"], 2 * replica),
-                           replica_rng(cfg["seed"], 2 * replica + 1))
-    return {"replica": replica, **summary}
+    summary.update(t_end=state.t, degenerate_count=state.degenerate_count,
+                   **_order_summary(state))
+    return summary
 
 
 def cmd_simulate(args):
@@ -103,33 +99,32 @@ def cmd_simulate(args):
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["out"] = args.out
+    n_rep = cfg["replicas"]
+    if n_rep > 1 and cfg.get("out"):
+        raise SchemaError("out: a frame log holds one run; it needs replicas = 1", path="out")
 
-    if cfg["replicas"] > 1:
-        replicas = range(cfg["replicas"])
-        if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                summaries = list(pool.map(_run_replica, [cfg] * cfg["replicas"], replicas))
-        else:
-            summaries = [_run_replica(cfg, r) for r in replicas]
+    workers = min(args.workers, n_rep)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            summaries = list(pool.map(_run_replica, [cfg] * n_rep, range(n_rep)))
+    else:
+        summaries = [_run_replica(cfg, r) for r in range(n_rep)]
+    # The order parameter of the ordered homogeneous state, where each body
+    # follows the von Mises law around the common target.
+    mean_field = 1.5 * c1(cfg["d"])
+    if n_rep == 1:
+        report = {**summaries[0], "order_parameter_mean_field": mean_field}
+        if cfg.get("out"):
+            report["frames"] = cfg["out"]
+    else:
+        report = {"replicas": n_rep, "order_parameter_mean_field": mean_field,
+                  "per_replica": [{"replica": r, **s} for r, s in enumerate(summaries)]}
         values = [s["order_parameter"] for s in summaries if s["order_parameter"] is not None]
-        report = {"replicas": cfg["replicas"], "per_replica": summaries,
-                  "order_parameter_mean_field": 1.5 * c1(cfg["d"])}
         if len(values) >= 2:
             arr = np.array(values)
             report["order_parameter_mean"] = float(arr.mean())
             report["order_parameter_sd"] = float(arr.std(ddof=1))
-        _print_json(report)
-        return 0
-
-    summary, state = _simulate(cfg, make_rng(cfg["seed"], STREAM_INIT),
-                               make_rng(cfg["seed"], STREAM_DYNAMICS), cfg.get("out"))
-    summary["t_end"] = state.t
-    # The order parameter of the ordered homogeneous state, where each body
-    # follows the von Mises law around the common target.
-    summary["order_parameter_mean_field"] = 1.5 * c1(cfg["d"])
-    if cfg.get("out"):
-        summary["frames"] = cfg["out"]
-    _print_json(summary)
+    _print_json(report)
     return 0
 
 

@@ -7,6 +7,7 @@ the offending field by its dotted path.
 
 import json
 import math
+from functools import cache
 from importlib import resources
 
 import jsonschema
@@ -39,16 +40,11 @@ MACRO_DEFAULTS = {
     "t_end": 1.0,
 }
 
-_schema_cache = None
 
-
+@cache
 def schema():
     """The JSON schema shipped with the package (parsed once)."""
-    global _schema_cache
-    if _schema_cache is None:
-        text = resources.files("sohb").joinpath("config_schema.json").read_text()
-        _schema_cache = json.loads(text)
-    return _schema_cache
+    return json.loads(resources.files("sohb").joinpath("config_schema.json").read_text())
 
 
 def _error_path(err):

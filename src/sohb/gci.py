@@ -138,13 +138,7 @@ def _residuals(profile_coeffs, d, r):
     return weighted, float(np.max(np.abs(shifted * (divided - r))) / np.max(shifted * np.abs(r)))
 
 
-def _check_grid(n=2048, margin=1e-4):
-    """Chebyshev-distributed check points on [-1 + margin, 1 - margin]."""
-    nodes = np.cos(np.pi * np.arange(n) / (n - 1))
-    return nodes * (1.0 - margin)
-
-
-def solve_h(d, ladder=LADDER):
+def solve_h(d):
     """Solve the radial ODE for the gradual-model profile h.
 
     Strategy: collocate the divided form at Chebyshev-Lobatto points on
@@ -159,7 +153,6 @@ def solve_h(d, ladder=LADDER):
 
     Args:
         d: noise intensity D > 0 (the equation parameter).
-        ladder: increasing mode counts to try.
 
     Returns:
         GciProfile for the gradual model.
@@ -170,13 +163,14 @@ def solve_h(d, ladder=LADDER):
     """
     if d <= 0.0:
         raise ValueError(f"noise intensity must be positive, got {d}")
-    check = _check_grid()
+    # Chebyshev-distributed check points on [-1 + 1e-4, 1 - 1e-4].
+    check = np.cos(np.pi * np.arange(2048) / 2047) * (1.0 - 1e-4)
     # Walk the ladder until the residual is comfortably converged (well past
     # H_TOL), not merely under it — spectral accuracy is cheap here and a wide
     # margin keeps downstream constants insensitive to the mode count.
     early = min(H_TOL * 1e-3, 1e-9)
     best = None
-    for n_modes in ladder:
+    for n_modes in LADDER:
         npts = 2 * n_modes + 8
         # Lobatto points on [0, 1]: endpoint r = 1 carries the natural BC.
         pts = 0.5 * (1.0 + np.cos(np.pi * np.arange(npts) / (npts - 1)))
@@ -193,7 +187,7 @@ def solve_h(d, ladder=LADDER):
     if not scale_free <= H_TOL:
         raise NoConvergence(
             f"d {d!r}: h solve scale-free residual {scale_free:.3e} > H_TOL = "
-            f"{H_TOL:.1e} after ladder {ladder}"
+            f"{H_TOL:.1e} after ladder {LADDER}"
         )
     return GciProfile(model=GRADUAL, d=float(d), coeffs=coeffs, residual=res,
                       residual_scale_free=scale_free)

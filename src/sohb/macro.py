@@ -26,15 +26,17 @@ div_rel q = sum_i (Im(d_{i,rel} q))_i. The two forms are equivalent under
 Lambda = Phi(qbar) thanks to c2 - c2' = c4 and Dx e_j = 2 Im(d_{j,rel} q).
 
 Each orientation law is written once, as the v of rho dt(orient) + [v] orient
-= 0 (``_orientation_vector``); the residuals and the integrator's angular
-velocity omega = -v / rho both use it.
+= 0 (``_orientation_vector``); ``residuals`` and the integrator's angular
+velocity omega = -v / rho both use it. ``residuals`` serves both forms: only
+the product [v] orient, hat(v) Lambda or (0, v) qbar, follows the field's
+kind.
 
 Discretization: periodic grids, central differences for all derivatives.
 Column a of Dx is axial of the central difference of Lambda times Lambda^T,
 which equals (w_a(x) + w_a(x - h e_a)) / (2h) with the relative rotation
 w_a = axial(Lambda(x + h e_a) Lambda(x)^T) (``orientation_gradient``).
-Orientation residuals are assembled as [vector]_x Lambda (resp. [vector] q)
-so tangency (resp. orthogonality) holds to round-off.
+Orientation residuals are assembled as [v]_x Lambda (resp. [v] q) so
+tangency (resp. orthogonality) holds to round-off.
 
 The quaternion form runs component-major: every component of qbar, of the
 relative derivatives and of the vectors built from them is one contiguous
@@ -272,51 +274,32 @@ def _orientation_vector(field, consts, u=None):
     return np.moveaxis(v, 0, -1)
 
 
-def _mass_residual(field, drho_dt, consts):
-    """Residual of the mass equation dt_rho + div(c1 rho u) = 0."""
-    return drho_dt + _divergence(consts.c1 * field.rho[..., None] * field.headings(), field.spacing)
-
-
-def residual_matrix(field, drho_dt, dlam_dt, consts):
-    """Residuals of the matrix-form macroscopic system at every node.
+def residuals(field, drho_dt, dorient_dt, consts):
+    """Residuals of the macroscopic system at every node, in the field's form.
 
     Args:
-        field: MacroField with kind "matrix".
+        field: MacroField of either kind.
         drho_dt: time derivative of rho, same shape as field.rho.
-        dlam_dt: time derivative of Lambda, same shape as field.orient.
+        dorient_dt: time derivative of the orientation, same shape as
+            field.orient.
         consts: GciConstants.
 
     Returns:
-        (res_rho, res_lam): shapes (nx, ny, nz) and (nx, ny, nz, 3, 3). The
-        orientation residual is assembled as rho*dlam_dt + [vector]_x Lambda,
-        so if dlam_dt is tangent the residual is tangent to round-off.
+        (res_rho, res_orient): the mass residual dt_rho + div(c1 rho u),
+        shape (nx, ny, nz), and the orientation residual
+        rho dorient_dt + [v] orient, shaped like field.orient, with [v] orient
+        = hat(v) Lambda (matrix) or (0, v) qbar (quaternion). If dorient_dt
+        is tangent (resp. orthogonal to qbar), so is the residual, to
+        round-off.
     """
-    if field.kind != MATRIX:
-        raise ValueError("residual_matrix needs a matrix-kind field")
+    rho = field.rho
     vec = _orientation_vector(field, consts)
-    res_lam = field.rho[..., None, None] * dlam_dt + hat(vec) @ field.orient
-    return _mass_residual(field, drho_dt, consts), res_lam
-
-
-def residual_quaternion(field, drho_dt, dq_dt, consts):
-    """Residuals of the quaternion-form macroscopic system at every node.
-
-    Args:
-        field: MacroField with kind "quaternion".
-        drho_dt: time derivative of rho.
-        dq_dt: time derivative of qbar, shape (nx, ny, nz, 4).
-        consts: GciConstants.
-
-    Returns:
-        (res_rho, res_q): the orientation residual is assembled as
-        rho*dq_dt + [vector] qbar with a purely imaginary vector part, so if
-        dq_dt is orthogonal to qbar the residual is orthogonal to round-off.
-    """
-    if field.kind != QUATERNION:
-        raise ValueError("residual_quaternion needs a quaternion-kind field")
-    vec = _orientation_vector(field, consts)
-    res_q = field.rho[..., None] * dq_dt + quat_mul(_embed(vec), field.orient)
-    return _mass_residual(field, drho_dt, consts), res_q
+    if field.kind == MATRIX:
+        res_orient = rho[..., None, None] * dorient_dt + hat(vec) @ field.orient
+    else:
+        res_orient = rho[..., None] * dorient_dt + quat_mul(_embed(vec), field.orient)
+    res_rho = drho_dt + _divergence(consts.c1 * rho[..., None] * field.headings(), field.spacing)
+    return res_rho, res_orient
 
 
 def _angular_velocity(field, consts, u=None):

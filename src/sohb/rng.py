@@ -2,8 +2,10 @@
 
 Counter-based Philox generators keyed by (seed, stream): runs with the same
 seed are bitwise reproducible, and distinct stream ids give statistically
-independent streams from one seed — used to give positions, orientation
-noise, and replica workers their own streams without coordination.
+independent streams from one seed. Replica r of a simulation draws its
+initial state from stream 2r + STREAM_INIT and its dynamics from
+2r + STREAM_DYNAMICS, so replica 0 is the single run and a replica set is
+the same whatever the worker count.
 """
 
 import numpy as np
@@ -13,14 +15,8 @@ import numpy as np
 # drawing independent dynamical noise).
 STREAM_INIT = 0
 STREAM_DYNAMICS = 1
-STREAM_REPLICA_BASE = 1000
 
 
 def make_rng(seed, stream=0):
     """A numpy Generator on the Philox counter stream (seed, stream)."""
     return np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
-
-
-def replica_rng(seed, replica):
-    """Independent per-replica generator for embarrassingly parallel runs."""
-    return make_rng(seed, STREAM_REPLICA_BASE + int(replica))

@@ -46,6 +46,9 @@ from .sampling import reference_angle_cdf
 #: default keeps it well below the weak-error signal for dt >= 1e-4.
 N_GRID = 2001
 
+#: Gauss-Hermite nodes in u and Gauss-Laguerre nodes in rho^2.
+N_QUAD = 48
+
 _CHUNK = 64
 
 
@@ -70,7 +73,7 @@ def angle_step(theta, u, rho):
     return 2.0 * np.arccos(np.clip(np.abs(ch), 0.0, 1.0))
 
 
-def angle_transition_matrix(d, dt, n_grid=N_GRID, n_herm=48, n_lag=48):
+def angle_transition_matrix(d, dt, n_grid=N_GRID):
     """Row-stochastic one-step kernel of the angle chain on a uniform grid.
 
     Entry (i, j) is the probability of landing in the linear hat cell of
@@ -82,14 +85,14 @@ def angle_transition_matrix(d, dt, n_grid=N_GRID, n_herm=48, n_lag=48):
         raise DomainError(f"need d > 0 and dt > 0, got d={d}, dt={dt}")
     grid = np.linspace(0.0, np.pi, n_grid)
     dx = grid[1] - grid[0]
-    xh, wh = hermgauss(n_herm)
-    tl, wl = laggauss(n_lag)
+    xh, wh = hermgauss(N_QUAD)
+    tl, wl = laggauss(N_QUAD)
     sigma = np.sqrt(2.0 * d * dt)
     # u = sqrt(2) sigma x - dt sin(theta);  rho = sigma sqrt(2 t)
     u_noise = np.sqrt(2.0) * sigma * xh
     rho = (sigma * np.sqrt(2.0 * tl))[None, None, :]
     wq = ((wh / np.sqrt(np.pi)))[:, None] * wl[None, :]
-    wq = np.broadcast_to(wq, (n_herm, n_lag)).ravel()
+    wq = np.broadcast_to(wq, (N_QUAD, N_QUAD)).ravel()
     kernel = np.empty((n_grid, n_grid))
     for lo in range(0, n_grid, _CHUNK):
         hi = min(lo + _CHUNK, n_grid)
@@ -111,7 +114,7 @@ def angle_transition_matrix(d, dt, n_grid=N_GRID, n_herm=48, n_lag=48):
     return grid, kernel
 
 
-def stationary_angle_law(d, dt, n_grid=N_GRID, n_herm=48, n_lag=48):
+def stationary_angle_law(d, dt, n_grid=N_GRID):
     """Stationary angle law of the discrete chain (grid, masses, CDF).
 
     The masses p solve p K = p with sum(p) = 1: the system (K - I)^T p = 0
@@ -119,7 +122,7 @@ def stationary_angle_law(d, dt, n_grid=N_GRID, n_herm=48, n_lag=48):
     row-stochastic, replaced by the normalization. It is solved in place on
     the kernel, whose transpose is Fortran-ordered as LAPACK wants it.
     """
-    grid, kernel = angle_transition_matrix(d, dt, n_grid, n_herm, n_lag)
+    grid, kernel = angle_transition_matrix(d, dt, n_grid)
     kernel[np.diag_indices(n_grid)] -= 1.0
     kernel[:, -1] = 1.0
     rhs = np.zeros(n_grid)
@@ -128,7 +131,7 @@ def stationary_angle_law(d, dt, n_grid=N_GRID, n_herm=48, n_lag=48):
     return grid, p, np.cumsum(p)
 
 
-def scheme_angle_ks(d, dt, n_grid=N_GRID, n_herm=48, n_lag=48):
+def scheme_angle_ks(d, dt, n_grid=N_GRID):
     """Population KS distance between the scheme's stationary angle law
     and the continuous-time stationary angle law.
 
@@ -136,6 +139,6 @@ def scheme_angle_ks(d, dt, n_grid=N_GRID, n_herm=48, n_lag=48):
     number a sampling-based test would concentrate on with unboundedly many
     independent draws.
     """
-    grid, _, cdf = stationary_angle_law(d, dt, n_grid, n_herm, n_lag)
+    grid, _, cdf = stationary_angle_law(d, dt, n_grid)
     ref = reference_angle_cdf(grid, d)
     return float(np.max(np.abs(cdf - ref)))

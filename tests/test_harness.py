@@ -12,7 +12,7 @@ from sohb.estimators import ks_one_sample, ks_two_sample, order_parameter
 from sohb.frames import FrameWriter, read_frames, read_metadata
 from sohb.gci import constants as gci_constants
 from sohb.micro import JUMP, MATRIX, QUATERNION, SimParams, initial_state, run_jump
-from sohb.rng import STREAM_REPLICA_BASE, make_rng, replica_rng
+from sohb.rng import make_rng
 from sohb.rotations import quat_to_rot
 from sohb.sampling import c1 as sampling_c1
 from sohb.sampling import sample_uniform_rot, sample_vonmises_rot
@@ -267,9 +267,18 @@ def test_rng_reproducible_and_streams_independent():
 
 
 def test_replica_stream_offset():
-    np.testing.assert_array_equal(
-        replica_rng(9, 3).random(4), make_rng(9, STREAM_REPLICA_BASE + 3).random(4)
-    )
+    """Replica r draws its initial state from stream (seed, 2r) and its
+    dynamics from (seed, 2r + 1)."""
+    from sohb.cli import _order_summary, _run_replica
+
+    cfg = load_config({"n": 16, "box": 4.0, "t_end": 0.2, "seed": 9, "model": JUMP})
+    params = sim_params_from_config(cfg)
+    state = initial_state(params, make_rng(9, 6))
+    state, events = run_jump(state, params, make_rng(9, 7), 0.2)
+    assert _run_replica(cfg, 3) == {
+        "n_events": len(events), "t_end": state.t,
+        "degenerate_count": state.degenerate_count, **_order_summary(state),
+    }
 
 
 # --- command line -------------------------------------------------------------------
@@ -355,11 +364,11 @@ def test_cli_simulate_single_body(tmp_path, capsys, model):
 @pytest.mark.parametrize("dt", [10.0, 0.3])
 def test_cli_simulate_rejects_partial_gradual_step(tmp_path, capsys, dt):
     """t_end = 1 is not a whole number of steps of 10 or of 0.3."""
-    from sohb.cli import _simulate
+    from sohb.cli import _run_replica
 
     cfg = write_config(tmp_path, dt=dt, t_end=1.0)
     with pytest.raises(SchemaError) as exc:
-        _simulate(load_config(cfg), make_rng(0, 0), make_rng(0, 1))
+        _run_replica(load_config(cfg), 0)
     assert exc.value.path == "dt"
     out = str(tmp_path / "never.ndjson")
     assert main(["simulate", "--config", cfg, "--out", out]) == 1
@@ -410,6 +419,34 @@ def test_cli_simulate_replicas(tmp_path, capsys):
     assert report["replicas"] == 2
     assert len(report["per_replica"]) == 2
     assert report["per_replica"][0]["n_events"] >= 0
+
+
+def test_cli_simulate_replicas_same_for_any_worker_count(tmp_path, capsys):
+    cfg = write_config(tmp_path, replicas=3, model="jump", t_end=0.2)
+    assert main(["simulate", "--config", cfg, "--workers", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert main(["simulate", "--config", cfg, "--workers", "2"]) == 0
+    assert capsys.readouterr().out == serial
+
+
+@pytest.mark.parametrize("model", ["gradual", "jump"])
+def test_cli_simulate_replica_zero_is_single_run(tmp_path, capsys, model):
+    assert main(["simulate", "--config", write_config(tmp_path, model=model)]) == 0
+    single = json.loads(capsys.readouterr().out)
+    assert main(["simulate", "--config", write_config(tmp_path, model=model, replicas=2)]) == 0
+    replica0 = json.loads(capsys.readouterr().out)["per_replica"][0]
+    assert replica0.pop("replica") == 0
+    single.pop("order_parameter_mean_field")
+    assert replica0 == single
+
+
+def test_cli_simulate_replicas_reject_out(tmp_path, capsys):
+    """A frame log holds one run: out with replicas > 1 fails before any run."""
+    cfg = write_config(tmp_path, replicas=2)
+    out = tmp_path / "rep.ndjson"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: out:")
+    assert not out.exists()
 
 
 def test_cli_constants_csv(tmp_path):

@@ -12,8 +12,7 @@ from sohb.macro import (
     grad_scalar,
     orientation_gradient,
     rel_gradient,
-    residual_matrix,
-    residual_quaternion,
+    residuals,
     run_macro,
     sine_rotation_field,
     step_macro,
@@ -333,12 +332,12 @@ def test_grad_scalar_matches_closed_form():
 
 def test_residuals_vanish_for_uniform_state():
     f_mat, f_quat = twisted_initial_data(16, 1.0, rho_amp=0.0, alpha=0.0, beta=0.0)
-    res_rho, res_lam = residual_matrix(
+    res_rho, res_lam = residuals(
         f_mat, np.zeros(f_mat.shape), np.zeros(f_mat.orient.shape), CONSTS
     )
     np.testing.assert_allclose(res_rho, 0.0, atol=1e-14)
     np.testing.assert_allclose(res_lam, 0.0, atol=1e-14)
-    res_rho, res_q = residual_quaternion(
+    res_rho, res_q = residuals(
         f_quat, np.zeros(f_quat.shape), np.zeros(f_quat.orient.shape), CONSTS
     )
     np.testing.assert_allclose(res_rho, 0.0, atol=1e-14)
@@ -347,14 +346,14 @@ def test_residuals_vanish_for_uniform_state():
 
 def test_residual_tangency_and_orthogonality():
     f_mat, f_quat = twisted_initial_data(32, 1.0)
-    _, res_lam = residual_matrix(
+    _, res_lam = residuals(
         f_mat, np.ones(f_mat.shape), np.zeros(f_mat.orient.shape), CONSTS
     )
     # res Lambda^T must be antisymmetric: tangent residual
     m = np.einsum("...ij,...kj->...ik", res_lam, f_mat.orient)
     sym = 0.5 * (m + np.swapaxes(m, -1, -2))
     assert np.max(np.abs(sym)) < 1e-14
-    _, res_q = residual_quaternion(
+    _, res_q = residuals(
         f_quat, np.ones(f_quat.shape), np.zeros(f_quat.orient.shape), CONSTS
     )
     dots = np.sum(res_q * f_quat.orient, axis=-1)
@@ -374,7 +373,7 @@ def test_residual_matrix_against_direct_transport_form():
         sp = f_mat.spacing
         rho, lam = f_mat.rho, f_mat.orient
         u = lam[..., :, 0]
-        res_rho, res_lam = residual_matrix(
+        res_rho, res_lam = residuals(
             f_mat, np.zeros(f_mat.shape), np.zeros(lam.shape), CONSTS
         )
         # independent route
@@ -433,10 +432,10 @@ def test_residual_route_equivalence():
 
     def gap(n):
         f_mat, f_quat = twisted_initial_data(n, 1.0)
-        _, res_lam = residual_matrix(
+        _, res_lam = residuals(
             f_mat, np.zeros(f_mat.shape), np.zeros(f_mat.orient.shape), CONSTS
         )
-        _, res_q = residual_quaternion(
+        _, res_q = residuals(
             f_quat, np.zeros(f_quat.shape), np.zeros(f_quat.orient.shape), CONSTS
         )
         v_m = axial(np.einsum("...ij,...kj->...ik", res_lam, f_mat.orient))
@@ -451,10 +450,10 @@ def test_residual_route_equivalence():
 
 def test_mass_residual_identical_across_kinds():
     f_mat, f_quat = twisted_initial_data(48, 1.0)
-    r1, _ = residual_matrix(
+    r1, _ = residuals(
         f_mat, np.zeros(f_mat.shape), np.zeros(f_mat.orient.shape), CONSTS
     )
-    r2, _ = residual_quaternion(
+    r2, _ = residuals(
         f_quat, np.zeros(f_quat.shape), np.zeros(f_quat.orient.shape), CONSTS
     )
     np.testing.assert_allclose(r1, r2, atol=1e-13)
@@ -475,12 +474,12 @@ def test_c2_and_c2_prime_placement():
     bumped_c2 = replace(CONSTS, c2=2 * CONSTS.c2)
     bumped_c2p = replace(CONSTS, c2_prime=2 * CONSTS.c2_prime)
 
-    _, base_m = residual_matrix(f_mat, zeros, zero_m, CONSTS)
-    _, base_q = residual_quaternion(f_quat, zeros, zero_q, CONSTS)
-    _, m_c2 = residual_matrix(f_mat, zeros, zero_m, bumped_c2)
-    _, q_c2 = residual_quaternion(f_quat, zeros, zero_q, bumped_c2)
-    _, m_c2p = residual_matrix(f_mat, zeros, zero_m, bumped_c2p)
-    _, q_c2p = residual_quaternion(f_quat, zeros, zero_q, bumped_c2p)
+    _, base_m = residuals(f_mat, zeros, zero_m, CONSTS)
+    _, base_q = residuals(f_quat, zeros, zero_q, CONSTS)
+    _, m_c2 = residuals(f_mat, zeros, zero_m, bumped_c2)
+    _, q_c2 = residuals(f_quat, zeros, zero_q, bumped_c2)
+    _, m_c2p = residuals(f_mat, zeros, zero_m, bumped_c2p)
+    _, q_c2p = residuals(f_quat, zeros, zero_q, bumped_c2p)
 
     assert np.max(np.abs(m_c2 - base_m)) > 1e-3
     np.testing.assert_array_equal(q_c2, base_q)
@@ -499,11 +498,11 @@ def test_integrator_solves_the_residual_law():
 
     f_mat, f_quat = twisted_initial_data(32, 1.0)
     omega = _angular_velocity(f_mat, CONSTS)
-    _, res_lam = residual_matrix(f_mat, 0.0, hat(omega) @ f_mat.orient, CONSTS)
+    _, res_lam = residuals(f_mat, 0.0, hat(omega) @ f_mat.orient, CONSTS)
     np.testing.assert_allclose(res_lam, 0.0, rtol=0.0, atol=1e-13)
     omega = _angular_velocity(f_quat, CONSTS)
     pure = np.concatenate([np.zeros(omega.shape[:-1] + (1,)), omega], axis=-1)
-    _, res_q = residual_quaternion(f_quat, 0.0, quat_mul(pure, f_quat.orient), CONSTS)
+    _, res_q = residuals(f_quat, 0.0, quat_mul(pure, f_quat.orient), CONSTS)
     np.testing.assert_allclose(res_q, 0.0, rtol=0.0, atol=1e-13)
     assert np.max(np.abs(omega)) > 0.1  # the law is not trivially zero here
 

@@ -69,15 +69,15 @@ def test_reference_cdf_matches_sampler_table(d):
 
 
 def test_kernel_rows_are_probabilities():
-    grid, kernel = angle_transition_matrix(1.0, 1e-2, n_grid=301, n_herm=24, n_lag=24)
+    grid, kernel = angle_transition_matrix(1.0, 1e-2, n_grid=301)
     assert kernel.shape == (301, 301)
     assert np.min(kernel) >= 0.0
     np.testing.assert_allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_stationary_law_is_fixed_point():
-    grid, p, cdf = stationary_angle_law(1.0, 1e-2, n_grid=301, n_herm=24, n_lag=24)
-    _, kernel = angle_transition_matrix(1.0, 1e-2, n_grid=301, n_herm=24, n_lag=24)
+    grid, p, cdf = stationary_angle_law(1.0, 1e-2, n_grid=301)
+    _, kernel = angle_transition_matrix(1.0, 1e-2, n_grid=301)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(np.cumsum(p @ kernel) - cdf)) < 5e-6
     assert cdf[0] >= 0.0 and cdf[-1] == pytest.approx(1.0, abs=1e-12)
@@ -85,8 +85,8 @@ def test_stationary_law_is_fixed_point():
 
 def test_stationary_law_solves_fixed_point_to_round_off():
     """The direct solve leaves a fixed-point residual at round-off level."""
-    grid, p, cdf = stationary_angle_law(1.0, 1e-2, n_grid=301, n_herm=24, n_lag=24)
-    _, kernel = angle_transition_matrix(1.0, 1e-2, n_grid=301, n_herm=24, n_lag=24)
+    grid, p, cdf = stationary_angle_law(1.0, 1e-2, n_grid=301)
+    _, kernel = angle_transition_matrix(1.0, 1e-2, n_grid=301)
     assert np.max(np.abs(p @ kernel - p)) < 1e-14
     assert np.min(p) >= 0.0
 
