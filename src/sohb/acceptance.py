@@ -18,7 +18,7 @@ import numpy as np
 
 from .alignment import build_grid, minimum_image, neighbor_pairs
 from .errors import DegenerateAverage
-from .estimators import ks_one_sample, ks_two_sample
+from .estimators import ks_one_sample, ks_two_sample, polar_overlaps
 from .gci import (
     GciConstants,
     constants,
@@ -103,13 +103,6 @@ def _angles_from_center_mat(center, rots):
 def _angles_from_center_quat(center_q, quats):
     dots = np.abs(quats @ center_q)
     return 2.0 * np.arccos(np.clip(dots, 0.0, 1.0))
-
-
-def _alignment_stats(orient, kind):
-    """Per-particle overlap with the ensemble polar mean (scale-free in law)."""
-    rots = orient if kind == MATRIX else quat_to_rot(orient)
-    mean_rot = polar_rotation(np.mean(rots, axis=0))
-    return mat_dot(mean_rot, rots)
 
 
 def criterion_1():
@@ -297,7 +290,7 @@ def criterion_6():
             state = ParticleState(t=0.0, x=x0.copy(), orient=orient0, kind=rep)
             dyn_rng = make_rng(SEED + 6, 100_000 + 2 * trial + rep_index)
             state = run_gradual(state, params, dyn_rng, t_end)
-            stats[rep] = _alignment_stats(state.orient, rep)
+            stats[rep] = polar_overlaps(state.orient, rep)
         report = ks_two_sample(stats[MATRIX], stats[QUATERNION])
         min_p = min(min_p, report.p_value)
         passes += report.p_value >= 0.01

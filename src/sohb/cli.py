@@ -19,14 +19,14 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .config import load_config, sim_params_from_config, validate_data
-from .errors import DegenerateAverage, DomainError, SchemaError, SohbError, TooFewSamples
+from .config import load_config, read_json, sim_params_from_config, validate_data
+from .errors import DegenerateAverage, ParseError, SohbError, TooFewSamples
 from .estimators import order_parameter
 from .frames import FrameWriter, _format_frame
 from .gci import constants as gci_constants
 from .gci import get_profile, verify_adjoint_jump
 from .macro import run_macro, twisted_initial_data
-from .micro import GRADUAL, gradual_steps, initial_state, run_gradual, run_jump, run_single_in_field
+from .micro import GRADUAL, initial_state, run_gradual, run_jump, run_single_in_field
 from .rng import STREAM_DYNAMICS, STREAM_INIT, make_rng
 from .rotations import quat_to_rot, rot_to_quat
 from .sampling import c1, sample_uniform_rot
@@ -52,24 +52,15 @@ def _run_replica(cfg, replica):
 
     The initial state comes from stream (seed, 2 replica + STREAM_INIT) and
     the dynamics from (seed, 2 replica + STREAM_DYNAMICS), so replica 0 is
-    the single run. The gradual model takes fixed steps of ``dt``, so
-    ``t_end`` must be a whole number of them (within 1e-9 relative). The
-    config's ``out``, if set, gets every ``save_every``-th gradual frame, or
-    the final jump state.
+    the single run. ``cfg`` comes from ``load_config``, whose checks include
+    the whole-steps rule of the gradual horizon. The config's ``out``, if
+    set, gets every ``save_every``-th gradual frame, or the final jump state.
 
     Returns:
         The summary dict: ``t_end``, degenerate count, order parameter, and
         ``n_events`` for jump runs.
-
-    Raises:
-        SchemaError: at ``dt`` when t_end / dt is not a whole number.
     """
     params = sim_params_from_config(cfg)
-    if params.model == GRADUAL:
-        try:
-            gradual_steps(0.0, cfg["t_end"], params.dt)
-        except DomainError as exc:
-            raise SchemaError(str(exc), path="dt") from exc
     state = initial_state(params, make_rng(cfg["seed"], 2 * replica + STREAM_INIT))
     dyn_rng = make_rng(cfg["seed"], 2 * replica + STREAM_DYNAMICS)
     summary = {}
@@ -94,15 +85,11 @@ def _run_replica(cfg, replica):
 
 
 def cmd_simulate(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.out is not None:
-        cfg["out"] = args.out
+    data = read_json(args.config)
+    if isinstance(data, dict):  # any other document fails the schema below
+        data.update((k, v) for k, v in (("seed", args.seed), ("out", args.out)) if v is not None)
+    cfg = load_config(data)
     n_rep = cfg["replicas"]
-    if n_rep > 1 and cfg.get("out"):
-        raise SchemaError("out: a frame log holds one run; it needs replicas = 1", path="out")
-
     workers = min(args.workers, n_rep)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -254,12 +241,10 @@ def cmd_macro(args):
 
 def cmd_validate(args):
     try:
-        with open(args.config) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        problems = validate_data(read_json(args.config))
+    except (OSError, ParseError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
-    problems = validate_data(data)
     if problems:
         for p in problems:
             print(f"invalid: {p}", file=sys.stderr)

@@ -7,12 +7,14 @@ the offending field by its dotted path.
 
 import json
 import math
+import os
 from functools import cache
 from importlib import resources
 
 import jsonschema
 
-from .errors import ParseError, SchemaError
+from .errors import DomainError, ParseError, SchemaError
+from .micro import GRADUAL, SimParams, gradual_steps
 
 DEFAULTS = {
     "n": 128,
@@ -65,20 +67,48 @@ _Validator = jsonschema.validators.extend(
 
 
 def validate_data(data):
-    """All schema violations as "path: message" strings (empty if valid).
+    """All violations as "path: message" strings (empty if valid).
 
-    A ``number`` must be finite: NaN and infinities fail its type.
+    A ``number`` must be finite: NaN and infinities fail its type. A config
+    that passes the schema is then checked, with its defaults filled in, on
+    the rules that span fields: a frame log (``out``) holds one run, so it
+    needs ``replicas`` = 1, and a gradual ``t_end`` must be a whole number of
+    steps of ``dt``.
     """
     validator = _Validator(schema())
     errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-    return [f"{_error_path(e) or '<root>'}: {e.message}" for e in errors]
+    if errors:
+        return [f"{_error_path(e) or '<root>'}: {e.message}" for e in errors]
+    cfg = {**DEFAULTS, **data}
+    problems = []
+    if "out" in cfg and cfg["replicas"] != 1:
+        problems.append("out: a frame log holds one run; it needs replicas = 1")
+    if cfg["model"] == GRADUAL:
+        try:
+            gradual_steps(0.0, cfg["t_end"], cfg["dt"])
+        except DomainError as exc:
+            problems.append(str(exc))
+    return problems
+
+
+def read_json(path):
+    """The JSON document in the file at ``path``.
+
+    Raises:
+        ParseError: the file is not valid JSON.
+    """
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_config(source):
     """Load, validate, and default-fill a configuration.
 
     Args:
-        source: path to a JSON file, or an already-parsed dict.
+        source: path to a JSON file, or an already-parsed document.
 
     Returns:
         dict with every top-level default applied (and macro defaults applied
@@ -86,16 +116,10 @@ def load_config(source):
 
     Raises:
         ParseError: the file is not valid JSON.
-        SchemaError: the first schema violation, with ``path`` set.
+        SchemaError: the first violation (see ``validate_data``), with
+            ``path`` set.
     """
-    if isinstance(source, dict):
-        data = dict(source)
-    else:
-        try:
-            with open(source) as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{source}: {exc}") from exc
+    data = read_json(source) if isinstance(source, (str, os.PathLike)) else source
     problems = validate_data(data)
     if problems:
         first = problems[0]
@@ -109,8 +133,6 @@ def load_config(source):
 
 def sim_params_from_config(cfg):
     """Translate a validated config dict into micro-simulation parameters."""
-    from .micro import SimParams
-
     return SimParams(
         n_particles=cfg["n"],
         d=cfg["d"],

@@ -31,12 +31,17 @@ class KsReport:
     n_b: int | None = None
 
 
-def order_parameter(orient, kind):
-    """Global alignment statistic of an orientation ensemble.
+def polar_overlaps(orient, kind):
+    """Per-body overlaps s_n = L . A_n with the polar mean rotation L of the
+    ensemble (1.5 at perfect alignment, ~0 for the uniform law); arguments
+    as in ``order_parameter``."""
+    rots = orient if kind == "matrix" else quat_to_rot(orient)
+    return mat_dot(polar_rotation(np.mean(rots, axis=0)), rots)
 
-    Computes the polar mean rotation L of the ensemble and returns the
-    average of s_n = L . A_n over particles (1.5 at perfect alignment, ~0
-    for the uniform law), with the standard error of the mean.
+
+def order_parameter(orient, kind):
+    """Global alignment statistic of an orientation ensemble: the mean of
+    ``polar_overlaps`` over particles, with its standard error.
 
     Args:
         orient: (N, 3, 3) rotations or (N, 4) unit quaternions.
@@ -48,9 +53,7 @@ def order_parameter(orient, kind):
     orient = np.asarray(orient, dtype=np.float64)
     if orient.shape[0] < 2:
         raise TooFewSamples("order parameter needs at least 2 samples")
-    rots = orient if kind == "matrix" else quat_to_rot(orient)
-    mean_rot = polar_rotation(np.mean(rots, axis=0))
-    s = mat_dot(mean_rot, rots)
+    s = polar_overlaps(orient, kind)
     n = s.shape[0]
     return EstimatorReport(
         value=float(np.mean(s)),

@@ -18,7 +18,8 @@ The pipeline has three stages:
    divided by (1-r^2)^{3/2} e^{2r^2/d}. Residuals are reported in the
    weighted form; a solve is accepted on the weighted residual over
    max(weight |r|), which does not grow like e^{2/d}. The jump model needs
-   no solve: its profile is hbar(r) = r.
+   no solve: its profile is hbar(r) = r, the Chebyshev series T_1, so both
+   profiles are one coefficient vector evaluated by the same ``chebval``.
 
 2. ``constants``: the hydrodynamic coefficients are angle averages against
    the weight w(theta) = m(theta) sin^4(theta/2) hbar(cos(theta/2))
@@ -47,7 +48,8 @@ from numpy.polynomial import chebyshev as cheb
 
 from .errors import DomainError, NoConvergence
 from .rotations import hat, mat_dot, rotation_from_axis_angle
-from .sampling import _angle_density_shifted, _angle_integral, c1 as sampling_c1
+from .sampling import _angle_density_shifted, _angle_integral, check_d, checked_moment
+from .sampling import c1 as sampling_c1
 
 GRADUAL = "gradual"
 JUMP = "jump"
@@ -66,7 +68,8 @@ class GciProfile:
     Attributes:
         model: "gradual" or "jump".
         d: noise intensity.
-        coeffs: full Chebyshev coefficient vector of h (gradual; None for jump).
+        coeffs: full Chebyshev coefficient vector of hbar: the odd collocation
+            solution (gradual) or [0, 1], the series T_1(r) = r (jump).
         residual: max weighted-form ODE residual on the check grid (gradual;
             0.0 for the jump profile, which is exact). It overflows to inf
             or NaN below D = 2/709.78.
@@ -76,50 +79,24 @@ class GciProfile:
 
     model: str
     d: float
-    coeffs: np.ndarray | None
+    coeffs: np.ndarray
     residual: float
     residual_scale_free: float
 
     def hbar(self, r):
-        """Profile value: the ODE solution h (gradual) or r itself (jump)."""
-        r = np.asarray(r, dtype=np.float64)
-        if self.model == JUMP:
-            return r.copy()
+        """Profile value hbar(r), the Chebyshev series ``coeffs`` at r."""
         return cheb.chebval(r, self.coeffs)
 
-    def hbar_over_r(self, r):
-        """hbar(r)/r with the removable singularity at r = 0 filled by h'(0)."""
-        r = np.asarray(r, dtype=np.float64)
-        if self.model == JUMP:
-            return np.ones_like(r)
-        small = np.abs(r) < 1e-9
-        safe = np.where(small, 1.0, r)
-        out = cheb.chebval(r, self.coeffs) / safe
-        if np.any(small):
-            dh0 = cheb.chebval(0.0, cheb.chebder(self.coeffs))
-            out = np.where(small, dh0, out)
-        return out
 
-
-def _ode_rows(r, d, n_modes):
-    """Collocation rows of the divided-form operator on the odd basis.
-
-    Returns the design matrix L[T_{2k+1}](r) for k < n_modes and the
-    right-hand side r.
-    """
-    r = np.asarray(r, dtype=np.float64)
+def _operator(r, d, coeffs):
+    """The divided-form operator applied to the Chebyshev series ``coeffs``
+    (one series per column when 2-d) at the points r: shape coeffs.shape[1:]
+    + r.shape."""
     a = 1.0 - r * r
-    beta = -5.0 * r + (4.0 * r / d) * a
-    gamma = -(3.0 + 4.0 * r * r / d)
-    cols = []
-    for k in range(n_modes):
-        e = np.zeros(2 * k + 2)
-        e[-1] = 1.0
-        phi = cheb.chebval(r, e)
-        dphi = cheb.chebval(r, cheb.chebder(e))
-        ddphi = cheb.chebval(r, cheb.chebder(e, 2))
-        cols.append(a * ddphi + beta * dphi + gamma * phi)
-    return np.stack(cols, axis=-1), r
+    h = cheb.chebval(r, coeffs)
+    dh = cheb.chebval(r, cheb.chebder(coeffs))
+    ddh = cheb.chebval(r, cheb.chebder(coeffs, 2))
+    return a * ddh + (-5.0 * r + (4.0 * r / d) * a) * dh - (3.0 + 4.0 * r * r / d) * h
 
 
 def _residuals(profile_coeffs, d, r):
@@ -127,10 +104,7 @@ def _residuals(profile_coeffs, d, r):
     scale-free one: the same over max(weight |r|), with the weight's exponent
     shifted by its maximum, so it does not overflow like the first (e^{2/d})."""
     a = 1.0 - r * r
-    h = cheb.chebval(r, profile_coeffs)
-    dh = cheb.chebval(r, cheb.chebder(profile_coeffs))
-    ddh = cheb.chebval(r, cheb.chebder(profile_coeffs, 2))
-    divided = a * ddh + (-5.0 * r + (4.0 * r / d) * a) * dh - (3.0 + 4.0 * r * r / d) * h
+    divided = _operator(r, d, profile_coeffs)
     x = 2.0 * r * r / d
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = float(np.max(np.abs(np.power(a, 1.5) * np.exp(x) * (divided - r))))
@@ -158,11 +132,11 @@ def solve_h(d):
         GciProfile for the gradual model.
 
     Raises:
+        DomainError: naming ``d`` unless it is finite and > 0.
         NoConvergence: if the kept entry misses ``H_TOL``; the message
             names ``d``.
     """
-    if d <= 0.0:
-        raise ValueError(f"noise intensity must be positive, got {d}")
+    check_d(d)
     # Chebyshev-distributed check points on [-1 + 1e-4, 1 - 1e-4].
     check = np.cos(np.pi * np.arange(2048) / 2047) * (1.0 - 1e-4)
     # Walk the ladder until the residual is comfortably converged (well past
@@ -174,8 +148,9 @@ def solve_h(d):
         npts = 2 * n_modes + 8
         # Lobatto points on [0, 1]: endpoint r = 1 carries the natural BC.
         pts = 0.5 * (1.0 + np.cos(np.pi * np.arange(npts) / (npts - 1)))
-        design, rhs = _ode_rows(pts, d, n_modes)
-        sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+        # One column per odd mode T_1, T_3, ..., T_{2 n_modes - 1}.
+        design = _operator(pts, d, np.eye(2 * n_modes)[:, 1::2]).T
+        sol, *_ = np.linalg.lstsq(design, pts, rcond=None)
         coeffs = np.zeros(2 * n_modes)
         coeffs[1::2] = sol
         res, scale_free = _residuals(coeffs, d, check)
@@ -189,43 +164,22 @@ def solve_h(d):
             f"d {d!r}: h solve scale-free residual {scale_free:.3e} > H_TOL = "
             f"{H_TOL:.1e} after ladder {LADDER}"
         )
-    return GciProfile(model=GRADUAL, d=float(d), coeffs=coeffs, residual=res,
-                      residual_scale_free=scale_free)
+    return GciProfile(GRADUAL, float(d), coeffs, res, scale_free)
 
 
 def jump_profile(d):
-    """The exact jump-model profile hbar(r) = r."""
-    return GciProfile(model=JUMP, d=float(d), coeffs=None, residual=0.0, residual_scale_free=0.0)
+    """The exact jump-model profile hbar(r) = r, the Chebyshev series T_1."""
+    check_d(d)
+    return GciProfile(JUMP, float(d), np.array([0.0, 1.0]), 0.0, 0.0)
 
 
 def get_profile(d, model):
+    """The profile of ``model`` at d; DomainError names an unknown ``model``."""
     if model == GRADUAL:
         return solve_h(d)
     if model == JUMP:
         return jump_profile(d)
-    raise ValueError(f"unknown model: {model!r}")
-
-
-def kbar(s, profile):
-    """The invariant weight kbar(s) = hbar(r)/r at r = sqrt(2s + 1)/2.
-
-    Designed so that kbar(1/2 + cos theta) = hbar(cos(theta/2))/cos(theta/2).
-    Identically 1 for the jump model; negative on the interior for the
-    gradual model. The endpoint s = 3/2 (theta = 0) is the limit value.
-
-    Args:
-        s: scalar or array in (-1/2, 3/2] (endpoints by continuous limit).
-        profile: GciProfile.
-
-    Raises:
-        DomainError: outside [-1/2, 3/2].
-    """
-    s = np.asarray(s, dtype=np.float64)
-    if np.any(s < -0.5 - 1e-12) or np.any(s > 1.5 + 1e-12):
-        raise DomainError(f"kbar argument outside [-1/2, 3/2]: {s}")
-    r = 0.5 * np.sqrt(np.clip(2.0 * s + 1.0, 0.0, None))
-    out = profile.hbar_over_r(r)
-    return float(out) if np.isscalar(s) or s.ndim == 0 else out
+    raise DomainError(f"model: unknown model {model!r}, expected 'gradual' or 'jump'")
 
 
 @dataclass(frozen=True)
@@ -256,7 +210,12 @@ def constants(d, model, method="simpson", profile=None):
         method: quadrature route, "simpson" or "gauss" (dual routes exist so
             they can be cross-checked).
         profile: optional pre-solved GciProfile (saves the ODE solve).
+
+    Raises:
+        DomainError: naming ``d`` unless it is finite and > 0 and the moments
+            do not underflow there, or naming an unknown ``model``.
     """
+    check_d(d)
     profile = profile or get_profile(d, model)
     if profile.model != model or profile.d != float(d):
         raise ValueError("profile does not match the requested (d, model)")
@@ -270,7 +229,7 @@ def constants(d, model, method="simpson", profile=None):
             * np.cos(half)
         )
 
-    den = _angle_integral(w, d, method)
+    den = checked_moment(_angle_integral(w, d, method), d)
 
     def average(g):
         return 0.2 * _angle_integral(lambda t: g(t) * w(t), d, method) / den

@@ -29,6 +29,20 @@ from .rotations import quat_from_axis_angle, quat_mul, rotation_from_axis_angle
 TABLE_SIZE = 4096
 
 
+def check_d(d):
+    """Raise DomainError naming ``d`` unless it is a finite number > 0."""
+    if not (np.isfinite(d) and d > 0.0):
+        raise DomainError(f"d: noise intensity must be finite and > 0, got {d!r}")
+
+
+def checked_moment(value, d):
+    """An angle moment that divides others, or DomainError naming ``d`` when
+    it is zero or not finite (its weight underflows at that D)."""
+    if not (value != 0.0 and np.isfinite(value)):
+        raise DomainError(f"d: the angle moments underflow at {d!r} (denominator {value!r})")
+    return value
+
+
 def angle_density(theta, d):
     """Unnormalized density of the rotation angle between sample and center.
 
@@ -85,8 +99,7 @@ class AngleTable:
     """
 
     def __init__(self, d):
-        if d <= 0.0:
-            raise ValueError(f"noise intensity must be positive, got {d}")
+        check_d(d)
         self.d = float(d)
         # The density decays like exp(-theta^2 / (2 D)); past 40 sqrt(D) it is
         # below e^-800, so a grid to pi would waste the table at small D.
@@ -227,8 +240,12 @@ def c1(d, method="simpson"):
         d: noise intensity D > 0.
         method: "simpson" (composite, doubling) or "gauss" (fixed
             Gauss-Legendre), the independent cross-check.
+
+    Raises:
+        DomainError: naming ``d`` unless it is finite and > 0, or when the
+            angle moments underflow there.
     """
-    if d <= 0.0:
-        raise ValueError(f"noise intensity must be positive, got {d}")
+    check_d(d)
     num = _angle_integral(lambda t: (0.5 + np.cos(t)) * _angle_density_shifted(t, d), d, method)
-    return (2.0 / 3.0) * num / _angle_integral(lambda t: _angle_density_shifted(t, d), d, method)
+    den = _angle_integral(lambda t: _angle_density_shifted(t, d), d, method)
+    return (2.0 / 3.0) * num / checked_moment(den, d)

@@ -12,8 +12,8 @@ from sohb.gci import (
     JUMP,
     constants,
     get_profile,
+    _operator,
     jump_profile,
-    kbar,
     solve_h,
     verify_adjoint_jump,
     vonmises_class_average,
@@ -103,7 +103,8 @@ def test_h_matches_finite_difference_oracle(d, profiles):
 @pytest.mark.parametrize("d", D_PROBES)
 def test_h_frozen_probes(d, profiles):
     assert profiles[d].hbar(0.5) == pytest.approx(H_HALF[d], abs=1e-7)
-    assert profiles[d].hbar_over_r(0.0) == pytest.approx(DH_ZERO[d], abs=1e-5)
+    dh0 = cheb.chebval(0.0, cheb.chebder(profiles[d].coeffs))
+    assert dh0 == pytest.approx(DH_ZERO[d], abs=1e-5)
 
 
 def test_h_is_odd(profiles):
@@ -143,38 +144,31 @@ def test_solve_reports_no_convergence():
         solve_h(1e-4)
 
 
-# --- the invariant weight kbar -------------------------------------------------
+def test_jump_profile_is_t1():
+    """The jump profile is the Chebyshev series T_1: hbar(r) = r exactly."""
+    r = np.linspace(-1.0, 1.0, 1001)
+    np.testing.assert_array_equal(jump_profile(0.7).hbar(r), r)
 
 
-def test_kbar_jump_is_one():
-    prof = jump_profile(1.0)
-    s = np.linspace(-0.5, 1.5, 41)
-    np.testing.assert_array_equal(kbar(s, prof), np.ones_like(s))
-
-
-def test_kbar_gradual_negative_inside(profiles):
-    s = np.linspace(-0.5, 1.49, 100)
-    for prof in profiles.values():
-        assert np.max(kbar(s, prof)) < 0.0
-
-
-def test_kbar_substitution_identity(profiles):
-    """kbar(1/2 + cos theta) equals hbar(cos(theta/2))/cos(theta/2)."""
-    theta = np.linspace(0.1, 3.0, 40)
-    prof = profiles[1.0]
-    lhs = kbar(0.5 + np.cos(theta), prof)
-    half = np.cos(0.5 * theta)
-    np.testing.assert_allclose(lhs, prof.hbar(half) / half, atol=1e-12)
-
-
-def test_kbar_domain():
-    prof = jump_profile(1.0)
-    assert kbar(1.5, prof) == 1.0
-    assert kbar(-0.5, prof) == 1.0
-    with pytest.raises(DomainError):
-        kbar(1.7, prof)
-    with pytest.raises(DomainError):
-        kbar(np.array([0.0, -0.9]), prof)
+@pytest.mark.parametrize("n_modes", (16, 48, 192))
+def test_design_matrix_matches_per_mode_loop(n_modes):
+    """The collocation matrix of solve_h, built in one call on the identity
+    coefficients, equals the operator applied to T_1, T_3, ... one at a time."""
+    d = 0.3
+    npts = 2 * n_modes + 8
+    r = 0.5 * (1.0 + np.cos(np.pi * np.arange(npts) / (npts - 1)))
+    a = 1.0 - r * r
+    cols = []
+    for k in range(n_modes):
+        e = np.zeros(2 * k + 2)
+        e[-1] = 1.0
+        cols.append(
+            a * cheb.chebval(r, cheb.chebder(e, 2))
+            + (-5.0 * r + (4.0 * r / d) * a) * cheb.chebval(r, cheb.chebder(e))
+            - (3.0 + 4.0 * r * r / d) * cheb.chebval(r, e)
+        )
+    design = _operator(r, d, np.eye(2 * n_modes)[:, 1::2]).T
+    np.testing.assert_array_equal(design, np.stack(cols, axis=-1))
 
 
 # --- the constants --------------------------------------------------------------
@@ -376,11 +370,11 @@ def test_adjoint_invariant_monte_carlo():
 
 
 def test_rejects_bad_inputs(profiles):
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match=r"^d: "):
         solve_h(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match=r"^d: "):
         solve_h(-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match=r"^model: "):
         get_profile(1.0, "ballistic")
     with pytest.raises(ValueError):
         constants(1.0, JUMP, profile=profiles[1.0])  # model mismatch

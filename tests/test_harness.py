@@ -307,6 +307,27 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", "--config", str(junk)]) == 1
 
 
+@pytest.mark.parametrize("overrides, field", [
+    pytest.param({"replicas": 2, "out": "rep.ndjson"}, "out", id="out-with-replicas"),
+    pytest.param({"dt": 0.3, "t_end": 1.0}, "dt", id="partial-gradual-step"),
+])
+def test_cli_validate_applies_the_cross_field_rules(tmp_path, capsys, overrides, field):
+    """validate rejects what simulate would, naming the field."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(overrides))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"invalid: {field}: ")
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--out", "")])
+def test_cli_simulate_validates_overrides(tmp_path, capsys, flag, value):
+    """--seed and --out are checked by the schema like the config keys."""
+    assert main(["simulate", "--config", write_config(tmp_path), flag, value]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag[2:]}: ")
+
+
 def test_cli_simulate_byte_deterministic(tmp_path, capsys):
     cfg = write_config(tmp_path, save_every=2)
     out1, out2 = str(tmp_path / "a.ndjson"), str(tmp_path / "b.ndjson")
@@ -486,6 +507,21 @@ def test_cli_constants_has_no_method_option(capsys):
 def test_cli_names_d_when_the_profile_solve_fails(capsys):
     assert main(["constants", "--d", "1e-4", "--model", "gradual"]) == 1
     assert capsys.readouterr().err.startswith("error: d 0.0001: ")
+
+
+@pytest.mark.parametrize("argv, field", [
+    pytest.param(["gci", "--d", "0"], "d", id="gci-d-0"),
+    pytest.param(["constants", "--d", "0"], "d", id="constants-d-0"),
+    pytest.param(["gci", "--d", "nan"], "d", id="gci-d-nan"),
+    pytest.param(["constants", "--d", "nan"], "d", id="constants-d-nan"),
+    pytest.param(["gci", "--d", "-1", "--model", "jump"], "d", id="gci-jump-d-negative"),
+    pytest.param(["gci", "--d", "inf"], "d", id="gci-d-inf"),
+    pytest.param(["constants", "--d", "1e-300", "--model", "jump"], "d", id="jump-moments-underflow"),
+    pytest.param(["constants", "--model", "ballistic"], "model", id="constants-unknown-model"),
+])
+def test_cli_constants_path_names_the_bad_field(capsys, argv, field):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 def test_cli_gci_report(capsys):
